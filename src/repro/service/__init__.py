@@ -9,10 +9,11 @@ can drive over a connection, one modular layer at a time:
   the keyspace across N independent :class:`~repro.core.store.UniKV`
   instances, the same boundary-key bisect the store uses one level down
   for its partitions;
-* :mod:`repro.service.server` — an :class:`asyncio` TCP server with
-  per-connection pipelining, write admission control driven by each
-  shard's :class:`~repro.runtime.scheduler.WriteStallStats`, and graceful
-  drain on shutdown;
+* :mod:`repro.service.handler` — the sans-IO request handler (shared
+  with the chaos simulator) with write admission control driven by each
+  shard's :class:`~repro.runtime.scheduler.WriteStallStats`;
+* :mod:`repro.service.server` — its :class:`asyncio` TCP transport, with
+  per-connection pipelining and graceful drain on shutdown;
 * :mod:`repro.service.client` — sync and async clients with connection
   reuse, pipelining, client-side batching and retry-with-backoff.
 

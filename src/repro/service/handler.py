@@ -1,0 +1,252 @@
+"""Sans-IO request handling shared by the TCP server and the chaos simulator.
+
+:class:`RequestHandler` answers one request frame with one response frame
+and never awaits or touches a socket, so the asyncio
+:class:`~repro.service.server.KVServer` and the simulator's tick loop run
+the same decode, admission control, execute, encode and error mapping.
+
+**Admission control.**  A write first probes its shards' stall counters
+(:meth:`ShardRouter.pressure`).  Under pressure, ``admission="delay"``
+(the default) returns a :class:`Delayed` write: the server sleeps out the
+bounded pause, yielding to other connections, then applies it; the
+simulator applies it at once.  Nothing is dropped.  ``admission="shed"``
+answers ``Status.RETRY`` instead, at most ``max_consecutive_sheds`` times
+in a row per :class:`Session` before falling back to delay.
+"""
+
+from __future__ import annotations
+
+import struct
+from collections.abc import Callable
+from dataclasses import dataclass
+
+from repro.env.storage import DiskCrashed
+from repro.obs import MetricsRegistry
+from repro.service import protocol
+from repro.service.protocol import MAX_FRAME_BYTES, FrameTooLarge, Op, ProtocolError, Status
+from repro.service.router import ShardPressure, ShardRouter
+
+_U32 = struct.Struct("<I")
+
+
+@dataclass
+class ServerStats:
+    """Counters the server reports inside STATS responses."""
+
+    connections: int = 0
+    requests: int = 0
+    delayed_writes: int = 0
+    shed_writes: int = 0
+    too_large_frames: int = 0
+    bad_requests: int = 0
+    errors: int = 0
+    #: the part of ``errors`` answered RETRY because a shard device crashed
+    crashed_rejections: int = 0
+
+    def as_dict(self) -> dict:
+        return self.__dict__.copy()
+
+
+@dataclass
+class Session:
+    """Per-connection admission state: the current shed streak."""
+
+    consecutive_sheds: int = 0
+
+
+@dataclass
+class Delayed:
+    """A write admitted after a pause: wait ``pause_s``, then ``apply()``
+    returns the response frame."""
+
+    pause_s: float
+    apply: Callable[[], bytes]
+
+
+class RequestHandler:
+    """Request frames in, response frames out, over a :class:`ShardRouter`."""
+
+    def __init__(self, router: ShardRouter, *,
+                 max_frame_bytes: int = MAX_FRAME_BYTES,
+                 admission: str = "delay",
+                 slowdown_delay_s: float = 0.0005,
+                 max_delay_s: float = 0.02,
+                 max_consecutive_sheds: int = 2,
+                 max_scan_items: int = 10_000) -> None:
+        if admission not in ("delay", "shed"):
+            raise ValueError("admission must be 'delay' or 'shed'")
+        self.router = router
+        self.max_frame_bytes = max_frame_bytes
+        self.admission = admission
+        self.slowdown_delay_s = slowdown_delay_s
+        self.max_delay_s = max_delay_s
+        self.max_consecutive_sheds = max_consecutive_sheds
+        self.max_scan_items = max_scan_items
+        self.stats = ServerStats()
+        #: wall clock (perf_counter), unlike the stores' registries which
+        #: run on the schedulers' virtual clocks
+        self.metrics = MetricsRegistry()
+        #: per-shard stall_events watermark from the last write admission
+        self._stall_marks: dict[int, int] = {}
+        self._inflight = 0
+
+    def handle(self, item: bytes | FrameTooLarge,
+               session: Session) -> bytes | Delayed:
+        """The response frame for one request payload (or oversized-frame
+        marker), or a :class:`Delayed` write that the transport applies
+        after its pause.  The ``server_request_seconds`` span covers the
+        pause."""
+        start = self.metrics.clock()
+        self._inflight += 1
+        depth = self.metrics.gauge("server_inflight_requests_high_water")
+        if self._inflight > depth.value:
+            depth.set(self._inflight)
+        op_name, reply = self._dispatch(item, session)
+        if isinstance(reply, Delayed):
+            return Delayed(reply.pause_s, lambda: self._finish(
+                op_name, start, self._guarded(reply.apply)))
+        return self._finish(op_name, start, reply)
+
+    def handle_now(self, item: bytes | FrameTooLarge,
+                   session: Session) -> bytes:
+        """:meth:`handle` for a transport with no clock to wait on: a
+        delayed write is applied at once."""
+        reply = self.handle(item, session)
+        return reply.apply() if isinstance(reply, Delayed) else reply
+
+    def stats_payload(self) -> dict:
+        """The full STATS response body: legacy counters plus obs snapshots.
+
+        ``obs.stores`` is the shard-merged store registry view (histograms
+        merged bucket-wise, quantiles recomputed); ``obs.server`` is this
+        handler's own wall-clocked registry.
+        """
+        stats = self.router.stats()
+        stats["server"] = self.stats.as_dict()
+        stats["obs"] = {
+            "server": self.metrics.snapshot(),
+            "stores": self.router.metrics_snapshot(),
+        }
+        return stats
+
+    # -- internals --------------------------------------------------------------------
+
+    def _finish(self, op_name: str, start: float, response: bytes) -> bytes:
+        self._inflight -= 1
+        self.metrics.histogram("server_request_seconds", op=op_name).record(
+            self.metrics.clock() - start)
+        return response
+
+    def _dispatch(self, item: bytes | FrameTooLarge,
+                  session: Session) -> tuple[str, bytes | Delayed]:
+        """(op label for metrics, response or delayed write)."""
+        self.stats.requests += 1
+        if isinstance(item, FrameTooLarge):
+            self.stats.too_large_frames += 1
+            return "invalid", protocol.encode_response(
+                Status.TOO_LARGE,
+                b"frame of %d bytes exceeds limit %d"
+                % (item.declared_size, self.max_frame_bytes))
+        try:
+            request = protocol.decode_request(item)
+        except ProtocolError as exc:
+            self.stats.bad_requests += 1
+            return "invalid", protocol.encode_response(
+                Status.BAD_REQUEST, str(exc).encode())
+        return request.op.name.lower(), self._guarded(
+            lambda: self._execute(request, session))
+
+    def _guarded(self, run: Callable[[], bytes | Delayed]) -> bytes | Delayed:
+        """``run()``, with a store failure turned into an error response."""
+        try:
+            return run()
+        except DiskCrashed as exc:
+            # A shard's device failed mid-operation.  That's transient from
+            # the client's point of view — the operator (or chaos harness)
+            # recovers the shard and re-attaches it — so steer the client
+            # to its retry path rather than reporting a hard error.
+            self.stats.errors += 1
+            self.stats.crashed_rejections += 1
+            return protocol.encode_response(
+                Status.RETRY, f"shard device crashed: {exc}".encode())
+        except Exception as exc:  # a failing request must not kill the stream
+            self.stats.errors += 1
+            return protocol.encode_response(
+                Status.ERROR, f"{type(exc).__name__}: {exc}".encode())
+
+    def _execute(self, request: protocol.Request,
+                 session: Session) -> bytes | Delayed:
+        router = self.router
+        op = request.op
+        if op == Op.PING:
+            return protocol.encode_response(
+                Status.OK, protocol.encode_value_body(request.key))
+        if op == Op.GET:
+            value = router.get(request.key)
+            if value is None:
+                return protocol.encode_response(Status.NOT_FOUND)
+            return protocol.encode_response(
+                Status.OK, protocol.encode_value_body(value))
+        if op == Op.SCAN:
+            pairs = router.scan(request.key, min(request.count, self.max_scan_items))
+            return protocol.encode_response(
+                Status.OK, protocol.encode_pairs_body(pairs))
+        if op == Op.STATS:
+            return protocol.encode_response(
+                Status.OK, protocol.encode_json_body(self.stats_payload()))
+        if op == Op.DESCRIBE:
+            return protocol.encode_response(
+                Status.OK, protocol.encode_json_body(router.describe()))
+        # -- writes (PUT, DELETE, BATCH): admission control first -------------------
+        if op == Op.BATCH:
+            shards = sorted(router.split_batch(request.ops))
+        else:
+            shards = [router.shard_index(request.key)]
+        pressure, severity = self._probe_pressure(shards)
+        if severity <= 0:
+            session.consecutive_sheds = 0
+            return self._write(request)
+        if (self.admission == "shed"
+                and session.consecutive_sheds < self.max_consecutive_sheds):
+            session.consecutive_sheds += 1
+            self.stats.shed_writes += 1
+            return protocol.encode_response(
+                Status.RETRY,
+                b"shard %d backpressure (%d new stall events, %d jobs in flight)"
+                % (pressure.shard, severity, pressure.queue_depth))
+        # Delay, never drop: a bounded pause scaled by how much stall
+        # pressure the shard reported since the last admission.
+        self.stats.delayed_writes += 1
+        session.consecutive_sheds = 0
+        return Delayed(min(self.max_delay_s, self.slowdown_delay_s * severity),
+                       lambda: self._write(request))
+
+    def _write(self, request: protocol.Request) -> bytes:
+        if request.op == Op.PUT:
+            self.router.put(request.key, request.value)
+        elif request.op == Op.DELETE:
+            self.router.delete(request.key)
+        else:
+            self.router.write_batch(request.ops)
+        applied = len(request.ops) if request.op == Op.BATCH else 1
+        return protocol.encode_response(Status.OK, _U32.pack(applied))
+
+    def _probe_pressure(self, shard_indexes) -> tuple[ShardPressure | None, int]:
+        """The most pressured shard and its severity (0 = no pressure).
+
+        Severity is the shard's new stall events since the last write
+        admission, floored at 1 when a probe catches the background queue
+        at/above the slowdown trigger.  Probing consumes the delta (the
+        watermark advances), so one stall burst disturbs one admission.
+        """
+        worst: ShardPressure | None = None
+        severity = 0
+        for i in shard_indexes:
+            pressure = self.router.pressure(i)
+            delta = pressure.stall_events - self._stall_marks.get(i, 0)
+            if pressure.state != "ok":
+                delta = max(delta, 1)
+            self._stall_marks[i] = pressure.stall_events
+            if worst is None or delta > severity:
+                worst, severity = pressure, delta
+        return worst, severity

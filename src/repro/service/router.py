@@ -250,7 +250,8 @@ def replace_config(config: UniKVConfig | None) -> UniKVConfig:
 
 
 def _aggregate(shards: list[dict]) -> dict:
-    """Sum the numeric leaves of per-shard stat dicts (dicts recurse)."""
+    """Sum the numeric leaves of per-shard stat dicts (dicts recurse),
+    except high-water marks, which take the max."""
     out: dict = {"partitions": 0, "core": {}, "write_stall": {}}
     for entry in shards:
         out["partitions"] += entry["partitions"]
@@ -263,5 +264,7 @@ def _merge_sums(acc: dict, delta: dict) -> None:
     for key, value in delta.items():
         if isinstance(value, dict):
             _merge_sums(acc.setdefault(key, {}), value)
+        elif key.endswith("_high_water"):  # a high-water mark: max, not sum
+            acc[key] = max(acc.get(key, 0), value)
         else:
             acc[key] = acc.get(key, 0) + value

@@ -1,31 +1,16 @@
-"""Asyncio TCP server over a :class:`~repro.service.router.ShardRouter`.
+"""Asyncio TCP transport over a :class:`~repro.service.handler.RequestHandler`.
 
 One connection is one pipelined request stream: the client may send any
 number of frames without waiting; the server decodes them incrementally
-(:class:`~repro.service.protocol.FrameDecoder`), executes each request in
-arrival order, and writes responses back in the same order — the ordering
-contract pipelining clients rely on.
+(:class:`~repro.service.protocol.FrameDecoder`) and writes the responses
+back in arrival order — the ordering contract pipelining clients rely on.
 
-**Admission control.**  Writes consult the owning shard's maintenance
-backpressure (:meth:`ShardRouter.pressure`, fed by the scheduler's
-:class:`~repro.runtime.scheduler.WriteStallStats` machinery from PR 1)
-before touching the store:
-
-The pressure signal is the per-shard *stall counter delta*: new
-slowdown/stop events recorded by the shard's scheduler since the server's
-previous write admission on that shard (plus the instantaneous background
-queue depth, when a probe catches it non-zero).  Diffing the cumulative
-counters matters on the virtual clock, where a stall can begin and resolve
-entirely between two requests:
-
-* ``admission="delay"`` (default): under pressure the write is *delayed* —
-  a bounded cooperative sleep that yields the event loop to other
-  connections — then applied.  Nothing is dropped; the store itself
-  additionally charges the modelled stall seconds.
-* ``admission="shed"``: under pressure the write is rejected with
-  ``Status.RETRY`` so the client backs off (its retry path), but at most
-  ``max_consecutive_sheds`` times in a row per connection — after that the
-  server falls back to delay-and-apply, bounding client starvation.
+:class:`KVServer` *is* a request handler: decode, admission control,
+execute, encode, error mapping and metrics are the inherited synchronous
+:meth:`RequestHandler.handle`, the code the chaos simulator drives too.
+This module adds framing, draining and sleeping out a delayed write's
+pause before applying it.  No lock is needed: the handler never awaits,
+so each store operation runs to completion on the one event loop.
 
 **Graceful drain.**  :meth:`KVServer.stop` closes the listening socket,
 lets every connection finish the requests it has already received, flushes
@@ -37,52 +22,15 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import signal
-import struct
-from dataclasses import dataclass
 
 from repro.core.config import UniKVConfig
-from repro.env.storage import DiskCrashed
-from repro.obs import MetricsRegistry
 from repro.obs.render import render_periodic_dump
-from repro.service import protocol
-from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    FrameDecoder,
-    FrameTooLarge,
-    Op,
-    ProtocolError,
-    Status,
-)
-from repro.service.router import ShardPressure, ShardRouter
-
-_U32 = struct.Struct("<I")
+from repro.service.handler import Delayed, RequestHandler, ServerStats, Session
+from repro.service.protocol import MAX_FRAME_BYTES, FrameDecoder, FrameTooLarge
+from repro.service.router import ShardRouter
 
 
-@dataclass
-class ServerStats:
-    """Counters the server reports inside STATS responses."""
-
-    connections: int = 0
-    requests: int = 0
-    delayed_writes: int = 0
-    shed_writes: int = 0
-    too_large_frames: int = 0
-    bad_requests: int = 0
-    errors: int = 0
-
-    def as_dict(self) -> dict:
-        return self.__dict__.copy()
-
-
-class _Connection:
-    """Per-connection state: shed streak + the handler task for drain."""
-
-    def __init__(self, task: asyncio.Task) -> None:
-        self.task = task
-        self.consecutive_sheds = 0
-
-
-class KVServer:
+class KVServer(RequestHandler):
     """Pipelined TCP front end for a sharded UniKV deployment."""
 
     def __init__(self, router: ShardRouter, host: str = "127.0.0.1",
@@ -94,32 +42,18 @@ class KVServer:
                  max_consecutive_sheds: int = 2,
                  max_scan_items: int = 10_000,
                  close_router_on_stop: bool = True) -> None:
-        if admission not in ("delay", "shed"):
-            raise ValueError("admission must be 'delay' or 'shed'")
-        self.router = router
+        super().__init__(router, max_frame_bytes=max_frame_bytes, admission=admission,
+                         slowdown_delay_s=slowdown_delay_s, max_delay_s=max_delay_s,
+                         max_consecutive_sheds=max_consecutive_sheds,
+                         max_scan_items=max_scan_items)
         self.host = host
         self.port = port
-        self.max_frame_bytes = max_frame_bytes
-        self.admission = admission
-        self.slowdown_delay_s = slowdown_delay_s
-        self.max_delay_s = max_delay_s
-        self.max_consecutive_sheds = max_consecutive_sheds
-        #: per-shard stall_events watermark from the last write admission
-        self._stall_marks: dict[int, int] = {}
-        self.max_scan_items = max_scan_items
         self.close_router_on_stop = close_router_on_stop
-        self.stats = ServerStats()
-        #: server-side observability; wall clock (perf_counter), unlike the
-        #: stores' registries which run on the schedulers' virtual clocks
-        self.metrics = MetricsRegistry()
-        self._inflight = 0
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[_Connection] = set()
+        #: live connection tasks, awaited by drain
+        self._connections: set[asyncio.Task] = set()
         self._stopping = asyncio.Event()
         self._stopped = False
-        #: single-writer discipline: shard stores are not re-entrant, so
-        #: request execution is serialized across connections
-        self._store_lock = asyncio.Lock()
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -138,22 +72,19 @@ class KVServer:
             self._server.close()
             await self._server.wait_closed()
         self._stopping.set()
-        tasks = [conn.task for conn in list(self._connections)]
+        tasks = list(self._connections)
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         if self.close_router_on_stop and not self.router.closed:
             self.router.close()
 
-    @property
-    def draining(self) -> bool:
-        return self._stopping.is_set()
-
     # -- connection handling ----------------------------------------------------------
 
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(asyncio.current_task())
-        self._connections.add(conn)
+        task = asyncio.current_task()
+        self._connections.add(task)
+        session = Session()
         self.stats.connections += 1
         decoder = FrameDecoder(self.max_frame_bytes)
         stop_wait: asyncio.Task | None = None
@@ -174,7 +105,7 @@ class KVServer:
                 if not data:
                     break
                 for item in decoder.feed(data):
-                    writer.write(await self._respond(item, conn))
+                    writer.write(await self._respond(item, session))
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -185,170 +116,23 @@ class KVServer:
         finally:
             if stop_wait is not None and not stop_wait.done():
                 stop_wait.cancel()
-            self._connections.discard(conn)
+            # Stay registered until the socket is closed, so stop() waits
+            # for the close instead of leaving it to the loop's teardown,
+            # which would cancel it mid-wait and log the cancellation.
             with contextlib.suppress(ConnectionError, OSError):
                 writer.close()
                 await writer.wait_closed()
-
-    # -- request dispatch -------------------------------------------------------------
+            self._connections.discard(task)
 
     async def _respond(self, item: bytes | FrameTooLarge,
-                       conn: _Connection) -> bytes:
-        start = self.metrics.clock()
-        self._inflight += 1
-        depth = self.metrics.gauge("server_inflight_requests_high_water")
-        if self._inflight > depth.value:
-            depth.set(self._inflight)
-        try:
-            op_name, response = await self._dispatch(item, conn)
-        finally:
-            self._inflight -= 1
-        self.metrics.histogram("server_request_seconds", op=op_name).record(
-            self.metrics.clock() - start)
-        return response
-
-    async def _dispatch(self, item: bytes | FrameTooLarge,
-                        conn: _Connection) -> tuple[str, bytes]:
-        """(op label for metrics, encoded response)."""
-        self.stats.requests += 1
-        if isinstance(item, FrameTooLarge):
-            self.stats.too_large_frames += 1
-            return "invalid", protocol.encode_response(
-                Status.TOO_LARGE,
-                b"frame of %d bytes exceeds limit %d"
-                % (item.declared_size, self.max_frame_bytes))
-        try:
-            request = protocol.decode_request(item)
-        except ProtocolError as exc:
-            self.stats.bad_requests += 1
-            return "invalid", protocol.encode_response(
-                Status.BAD_REQUEST, str(exc).encode())
-        op_name = request.op.name.lower()
-        try:
-            return op_name, await self._execute(request, conn)
-        except DiskCrashed as exc:
-            # A shard's device failed mid-operation.  That's transient from
-            # the client's point of view — the operator (or chaos harness)
-            # recovers the shard and re-attaches it — so steer the client
-            # to its retry path rather than reporting a hard error.
-            self.stats.errors += 1
-            return op_name, protocol.encode_response(
-                Status.RETRY, f"shard device crashed: {exc}".encode())
-        except Exception as exc:  # a failing request must not kill the stream
-            self.stats.errors += 1
-            return op_name, protocol.encode_response(
-                Status.ERROR, f"{type(exc).__name__}: {exc}".encode())
-
-    async def _execute(self, request: protocol.Request,
-                       conn: _Connection) -> bytes:
-        router = self.router
-        op = request.op
-        if op == Op.PING:
-            return protocol.encode_response(
-                Status.OK, protocol.encode_value_body(request.key))
-        if op == Op.GET:
-            async with self._store_lock:
-                value = router.get(request.key)
-            if value is None:
-                return protocol.encode_response(Status.NOT_FOUND)
-            return protocol.encode_response(
-                Status.OK, protocol.encode_value_body(value))
-        if op == Op.SCAN:
-            count = min(request.count, self.max_scan_items)
-            async with self._store_lock:
-                pairs = router.scan(request.key, count)
-            return protocol.encode_response(
-                Status.OK, protocol.encode_pairs_body(pairs))
-        if op == Op.STATS:
-            return protocol.encode_response(
-                Status.OK, protocol.encode_json_body(self.stats_payload()))
-        if op == Op.DESCRIBE:
-            return protocol.encode_response(
-                Status.OK, protocol.encode_json_body(router.describe()))
-        # -- writes: admission control first ------------------------------------------
-        if op == Op.PUT:
-            shards = [router.shard_index(request.key)]
-        elif op == Op.DELETE:
-            shards = [router.shard_index(request.key)]
-        elif op == Op.BATCH:
-            shards = sorted(router.split_batch(request.ops))
-        else:  # pragma: no cover - decode_request only yields known ops
-            return protocol.encode_response(Status.BAD_REQUEST, b"unhandled op")
-        rejection = await self._admit_write(shards, conn)
-        if rejection is not None:
-            return rejection
-        async with self._store_lock:
-            if op == Op.PUT:
-                router.put(request.key, request.value)
-                applied = 1
-            elif op == Op.DELETE:
-                router.delete(request.key)
-                applied = 1
-            else:
-                router.write_batch(request.ops)
-                applied = len(request.ops)
-        return protocol.encode_response(Status.OK, _U32.pack(applied))
-
-    # -- stats ------------------------------------------------------------------------
-
-    def stats_payload(self) -> dict:
-        """The full STATS response body: legacy counters plus obs snapshots.
-
-        ``obs.stores`` is the shard-merged store registry view (histograms
-        merged bucket-wise, quantiles recomputed); ``obs.server`` is this
-        server's own wall-clocked registry.
-        """
-        stats = self.router.stats()
-        stats["server"] = self.stats.as_dict()
-        stats["obs"] = {
-            "server": self.metrics.snapshot(),
-            "stores": self.router.metrics_snapshot(),
-        }
-        return stats
-
-    # -- admission control ------------------------------------------------------------
-
-    def _probe_pressure(self, shard_indexes) -> tuple[ShardPressure | None, int]:
-        """The most pressured shard and its severity (0 = no pressure).
-
-        Severity is the shard's new stall events since the last write
-        admission, floored at 1 when a probe catches the background queue
-        at/above the slowdown trigger.  Probing consumes the delta (the
-        watermark advances), so one stall burst disturbs one admission.
-        """
-        worst: ShardPressure | None = None
-        severity = 0
-        for i in shard_indexes:
-            pressure = self.router.pressure(i)
-            delta = pressure.stall_events - self._stall_marks.get(i, 0)
-            if pressure.state != "ok":
-                delta = max(delta, 1)
-            self._stall_marks[i] = pressure.stall_events
-            if worst is None or delta > severity:
-                worst, severity = pressure, delta
-        return worst, severity
-
-    async def _admit_write(self, shard_indexes,
-                           conn: _Connection) -> bytes | None:
-        """Apply the admission policy; a non-None return is the rejection."""
-        pressure, severity = self._probe_pressure(shard_indexes)
-        if severity <= 0:
-            conn.consecutive_sheds = 0
-            return None
-        if (self.admission == "shed"
-                and conn.consecutive_sheds < self.max_consecutive_sheds):
-            conn.consecutive_sheds += 1
-            self.stats.shed_writes += 1
-            return protocol.encode_response(
-                Status.RETRY,
-                b"shard %d backpressure (%d new stall events, %d jobs in flight)"
-                % (pressure.shard, severity, pressure.queue_depth))
-        # Delay, never drop: a bounded cooperative pause scaled by how much
-        # stall pressure the shard reported since the last admission.
-        await asyncio.sleep(min(self.max_delay_s, self.slowdown_delay_s * severity))
-        self.stats.delayed_writes += 1
-        conn.consecutive_sheds = 0
-        return None
+                       session: Session) -> bytes:
+        reply = self.handle(item, session)
+        if isinstance(reply, Delayed):
+            # Admission control wants a pause: yield the event loop to
+            # other connections, then apply the write.
+            await asyncio.sleep(reply.pause_s)
+            reply = reply.apply()
+        return reply
 
 
 async def _periodic_stats_dump(server: KVServer, interval: float) -> None:

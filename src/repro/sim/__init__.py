@@ -13,7 +13,6 @@ from repro.sim.harness import (
     SimConfig,
     SimHarness,
     SimResult,
-    SimServer,
     run_sim,
     sim_store_config,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "SimConfig",
     "SimHarness",
     "SimResult",
-    "SimServer",
     "Violation",
     "check",
     "run_sim",

@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.service.protocol import MAX_FRAME_BYTES, FrameDecoder
+from repro.service.protocol import MAX_FRAME_BYTES, FrameDecoder, FrameTooLarge
 
 
 @dataclass(frozen=True)
@@ -146,12 +146,12 @@ class ChaosConnection:
 
     # -- server side ------------------------------------------------------------------
 
-    def server_recv(self, now: int) -> list[bytes]:
-        """Request payloads the server can decode by ``now``."""
+    def server_recv(self, now: int) -> list[bytes | FrameTooLarge]:
+        """Request payloads (or oversized-frame markers, which the server
+        answers too) the server can decode by ``now``."""
         if self.broken:
             return []
-        return [p for p in self._server_decoder.feed(self._c2s.recv(now))
-                if isinstance(p, bytes)]
+        return self._server_decoder.feed(self._c2s.recv(now))
 
     def server_send(self, frame: bytes, now: int) -> None:
         """Transmit one response frame (suppression and faults apply)."""

@@ -14,8 +14,9 @@ The simulation is a single-threaded discrete-tick loop: per tick every
 client advances one step, the server drains every connection, and due
 crash/recovery events fire.  All nondeterminism is drawn from
 ``random.Random`` instances derived from the master seed, and no wall
-clock is consulted, so the same seed reproduces the same run bit for bit
-(asserted via the event trace).
+clock steers the run, so the same seed reproduces the same run bit for
+bit (asserted via the event trace).  The server side is the shipped
+:class:`~repro.service.handler.RequestHandler`, not a copy of it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from dataclasses import dataclass, field
 
 from repro.core.config import UniKVConfig
 from repro.core.store import UniKV
-from repro.env.storage import DiskCrashed, SimulatedDisk
+from repro.env.storage import SimulatedDisk
 from repro.service import protocol
-from repro.service.protocol import Op, Status
+from repro.service.handler import RequestHandler, Session
+from repro.service.protocol import Status
 from repro.service.router import ShardRouter, default_boundaries, replace_config
 from repro.sim.faults import NO_FAULTS, ChaosConnection, FaultConfig
 from repro.sim.oracle import ABSENT, History, Violation, check
@@ -40,7 +42,7 @@ class SimConfig:
     steps: int = 600
     num_shards: int = 3
     num_clients: int = 4
-    keyspace: int = 24
+    keyspace: int = 48
     #: shard power failures injected per run
     num_crashes: int = 2
     #: ticks a crashed shard stays down before its recovered store attaches
@@ -56,8 +58,12 @@ class SimConfig:
     weights: tuple[float, float, float] = (0.5, 0.3, 0.2)
 
 
+#: PUT values are padded to this size so memtables fill and maintenance runs
+PUT_VALUE_BYTES = 400
+
+
 def sim_store_config(seed: int = 0) -> UniKVConfig:
-    """A small-scale store config so flush/merge/GC/split all fire."""
+    """A small-scale store config so flush/merge/scan-merge fire (not yet GC/split)."""
     return UniKVConfig(
         memtable_size=2 * 1024,
         unsorted_limit_bytes=8 * 1024,
@@ -67,62 +73,6 @@ def sim_store_config(seed: int = 0) -> UniKVConfig:
         index_checkpoint_interval=2,
         seed=seed,
     )
-
-
-class SimServer:
-    """Synchronous request dispatcher over a :class:`ShardRouter`.
-
-    The semantics mirror :class:`~repro.service.server.KVServer` —
-    including :class:`DiskCrashed` surfacing as ``Status.RETRY`` — minus
-    the asyncio plumbing and admission control, which have no place in a
-    deterministic tick loop.
-    """
-
-    def __init__(self, router: ShardRouter) -> None:
-        self.router = router
-        self.requests = 0
-        self.errors = 0
-        self.crashed_rejections = 0
-
-    def handle(self, payload: bytes) -> bytes:
-        self.requests += 1
-        try:
-            request = protocol.decode_request(payload)
-        except protocol.ProtocolError as exc:
-            return protocol.encode_response(Status.BAD_REQUEST, str(exc).encode())
-        try:
-            return self._execute(request)
-        except DiskCrashed as exc:
-            self.crashed_rejections += 1
-            return protocol.encode_response(
-                Status.RETRY, f"shard device crashed: {exc}".encode())
-        except Exception as exc:  # noqa: BLE001 - must not kill the stream
-            self.errors += 1
-            return protocol.encode_response(
-                Status.ERROR, f"{type(exc).__name__}: {exc}".encode())
-
-    def _execute(self, request: protocol.Request) -> bytes:
-        router = self.router
-        if request.op == Op.GET:
-            value = router.get(request.key)
-            if value is None:
-                return protocol.encode_response(Status.NOT_FOUND)
-            return protocol.encode_response(
-                Status.OK, protocol.encode_value_body(value))
-        if request.op == Op.PUT:
-            router.put(request.key, request.value)
-            return protocol.encode_response(Status.OK)
-        if request.op == Op.DELETE:
-            router.delete(request.key)
-            return protocol.encode_response(Status.OK)
-        if request.op == Op.SCAN:
-            pairs = router.scan(request.key, request.count)
-            return protocol.encode_response(
-                Status.OK, protocol.encode_pairs_body(pairs))
-        if request.op == Op.PING:
-            return protocol.encode_response(
-                Status.OK, protocol.encode_value_body(request.key))
-        return protocol.encode_response(Status.BAD_REQUEST, b"unhandled op")
 
 
 class SimClient:
@@ -137,6 +87,7 @@ class SimClient:
         #: reconnect continues (not restarts) the seeded fault schedule
         self.fault_rng = random.Random(fault_seed)
         self.conn = harness.open_connection(self)
+        self.session = Session()  # server-side admission state (shed streak)
         self.record = None          # in-flight OpRecord
         self.frame = b""            # its encoded request frame
         self.waiting_since = 0
@@ -194,7 +145,8 @@ class SimClient:
         if kind == "put":
             # Unique per logical operation: the oracle identifies writes
             # by value, and retries re-send the same value.
-            record.value = b"v-c%d-op%d" % (self.cid, record.op_id)
+            record.value = (b"v-c%d-op%d-" % (self.cid, record.op_id)).ljust(
+                PUT_VALUE_BYTES, b"x")
             self.frame = protocol.encode_put(key, record.value)
         elif kind == "delete":
             self.frame = protocol.encode_delete(key)
@@ -269,7 +221,8 @@ class SimHarness:
                   for __ in range(self.config.num_shards)]
         self.router = ShardRouter(
             stores, default_boundaries(self.config.num_shards))
-        self.server = SimServer(self.router)
+        #: the request handler the TCP server runs, minus its transport
+        self.handler = RequestHandler(self.router)
         self.connections: list[tuple[SimClient, ChaosConnection]] = []
         self.clients = [
             SimClient(cid, self,
@@ -431,18 +384,20 @@ class SimHarness:
             final_keys=len(final_state),
             crashes=self.crashes,
             recoveries=self.recoveries,
-            server_requests=self.server.requests,
-            server_errors=self.server.errors,
-            crashed_rejections=self.server.crashed_rejections,
+            server_requests=self.handler.stats.requests,
+            server_errors=self.handler.stats.errors,
+            crashed_rejections=self.handler.stats.crashed_rejections,
             timeouts=sum(c.timeouts for c in self.clients),
             retry_responses=sum(c.retry_responses for c in self.clients),
             transport=self._transport_stats(),
         )
 
     def _server_tick(self, now: int) -> None:
-        for __, conn in self.connections:
+        # handle_now: the tick loop has no wall clock, so a delayed write
+        # is applied at once
+        for client, conn in self.connections:
             for payload in conn.server_recv(now):
-                conn.server_send(self.server.handle(payload), now)
+                conn.server_send(self.handler.handle_now(payload, client.session), now)
 
     def _read_final_state(self) -> dict[bytes, bytes]:
         """The recovered, drained deployment's full contents (fault-free)."""

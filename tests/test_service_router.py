@@ -106,6 +106,16 @@ def test_stats_aggregates_per_shard_write_stall_and_core():
     assert all(s["core"]["flushes"] > 0 for s in stats["shards"])
 
 
+def test_stats_aggregate_takes_max_of_high_water_marks():
+    router = make_router(2)
+    for store, depth, events in zip(router.stores, (3, 2), (4, 5)):
+        store.scheduler.stats.queue_depth_high_water = depth
+        store.scheduler.stats.stall_events = events
+    agg = router.stats()["aggregate"]["write_stall"]
+    assert agg["queue_depth_high_water"] == 3  # max across shards, not 5
+    assert agg["stall_events"] == 9            # counters still sum
+
+
 def test_close_is_idempotent_and_closes_every_shard():
     router = make_router(2)
     router.put(make_key(1), b"v")

@@ -2,6 +2,11 @@
 
 import asyncio
 import contextlib
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -65,10 +70,12 @@ async def _e2e_two_shards():
             assert (stats["shards"][i]["write_stall"]
                     == store.scheduler.stats.as_dict())
         agg = stats["aggregate"]["write_stall"]
-        for field in ("flushes", "stall_seconds", "stall_events",
-                      "queue_depth_high_water"):
+        for field in ("flushes", "stall_seconds", "stall_events"):
             assert agg[field] == pytest.approx(sum(
                 s["write_stall"][field] for s in stats["shards"]))
+        # A high-water mark across shards is their max, not their sum.
+        assert agg["queue_depth_high_water"] == max(
+            s["write_stall"]["queue_depth_high_water"] for s in stats["shards"])
         # UniKV counts its flush jobs in the scheduler's job ledger.
         assert agg["job_counts"]["flush"] > 0
         for kind, count in agg["job_counts"].items():
@@ -315,6 +322,45 @@ async def _run_server_lifecycle():
     with contextlib.suppress(asyncio.CancelledError):
         await task
     assert server.router.closed
+
+
+def test_sigint_after_batch_traffic_exits_without_traceback():
+    """A connection still closing when SIGINT arrives used to be left to
+    the event loop's teardown, which cancelled it and logged the
+    cancellation as a traceback (while still exiting 0)."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--shards", "4", "--port", "0",
+         "--boundaries", "user4,user8,userc"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    try:
+        # One CPU for the server makes the close/SIGINT race reproducible.
+        if hasattr(os, "sched_setaffinity"):
+            os.sched_setaffinity(proc.pid, {min(os.sched_getaffinity(0))})
+        line = proc.stdout.readline()
+        assert "serving 4 shard(s)" in line, line
+        port = int(line.rsplit(":", 1)[1])
+
+        async def traffic():
+            async with AsyncKVClient(port=port) as client:
+                for b in range(20):
+                    await client.write_batch([
+                        ("put", make_key(b * 128 + i), b"x" * 100)
+                        for i in range(128)])
+
+        asyncio.run(traffic())
+        with KVClient(port=port, timeout=30.0) as client:
+            client.stats()
+        proc.send_signal(signal.SIGINT)
+        out, __ = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, out
+    assert "shutdown complete" in out
+    assert "Traceback" not in out, out
 
 
 # -- the blocking client ----------------------------------------------------------------

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.service import protocol
+from repro.service.handler import RequestHandler, Session
 from repro.service.protocol import Status
 from repro.sim import (
     ChaosConnection,
@@ -18,7 +19,7 @@ from repro.sim import (
     FaultConfig,
     NO_FAULTS,
     SimConfig,
-    SimServer,
+    SimHarness,
     run_sim,
 )
 from repro.service.router import ShardRouter
@@ -138,7 +139,7 @@ def test_connection_fault_schedule_is_seed_deterministic():
     assert drive(5) != drive(6)  # different seed, different schedule
 
 
-# -- SimServer dispatch ----------------------------------------------------------------
+# -- the sim's server side: the shipped RequestHandler -----------------------------------
 
 
 @pytest.fixture()
@@ -158,12 +159,12 @@ def _payload(frame):
 
 def _call(server, request_frame):
     """Dispatch one request frame; returns (status, body)."""
-    response_frame = server.handle(_payload(request_frame))
+    response_frame = server.handle_now(_payload(request_frame), Session())
     return protocol.decode_response(_payload(response_frame))
 
 
 def test_sim_server_put_get_delete(sim_router):
-    server = SimServer(sim_router)
+    server = RequestHandler(sim_router)
     assert _call(server, protocol.encode_put(b"k", b"v"))[0] == Status.OK
     status, body = _call(server, protocol.encode_get(b"k"))
     assert (status, protocol.decode_value_body(body)) == (Status.OK, b"v")
@@ -172,12 +173,12 @@ def test_sim_server_put_get_delete(sim_router):
 
 
 def test_sim_server_crashed_shard_returns_retry(sim_router):
-    server = SimServer(sim_router)
+    server = RequestHandler(sim_router)
     sim_router.stores[0].disk.crash()
     status, body = _call(server, protocol.encode_put(b"\x00k", b"v"))
     assert status == Status.RETRY
     assert b"crashed" in body
-    assert server.crashed_rejections == 1
+    assert server.stats.crashed_rejections == 1
     # The other shard is unaffected.
     assert _call(server, protocol.encode_put(b"\xf0k", b"v"))[0] == Status.OK
 
@@ -237,3 +238,17 @@ def test_regression_seed23_simultaneous_recoveries():
     result = run_sim(23, cfg)
     assert result.ok, "\n".join(str(v) for v in result.violations)
     assert result.recoveries == result.crashes >= 1
+
+
+# -- maintenance reach ------------------------------------------------------------------
+
+
+def test_default_run_reaches_flush_and_merge():
+    """Padded PUT values over the default keyspace fill memtables, so a
+    default-config run exercises maintenance, not just the WAL."""
+    harness = SimHarness(0)
+    result = harness.run()
+    assert result.ok, "\n".join(str(v) for v in result.violations)
+    jobs = [store.scheduler.stats.job_counts for store in harness.router.stores]
+    assert sum(j.get("flush", 0) for j in jobs) >= 1
+    assert sum(j.get("merge", 0) for j in jobs) >= 1
