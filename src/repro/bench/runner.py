@@ -100,10 +100,12 @@ def run_workload(store: KVStore, ops: Iterable[tuple], phase: str = "run",
     base = cost_model if cost_model is not None else DeviceCostModel()
     model = effective_cost_model(store, base)
     scheduler = _overlapped_scheduler(store)
-    if scheduler is not None:
-        # Background job durations and the virtual clock use the plain
-        # device model: a background lane is one device-time stream.
-        scheduler.cost_model = base
+    if scheduler is not None and base != DeviceCostModel():
+        # Background lanes and the virtual clock are priced with the default
+        # device model as the I/O lands; phase times under another model
+        # would disagree with them.
+        raise ValueError("an overlapped store's background lanes are priced "
+                         "with the default device model; run it with that model")
     stats = store.disk.stats
     before = stats.snapshot()
     bg_before = (scheduler.background_io.snapshot()

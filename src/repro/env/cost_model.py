@@ -74,6 +74,16 @@ class DeviceCostModel:
             return stream + ops * self.rand_write_op_us * 1e-6
         return stream
 
+    def coefficients(self, op: str, pattern: str, tag: str) -> tuple[float, float]:
+        """(seconds per op, seconds per byte) of one (op, pattern, tag).
+
+        The model is linear in both, which is what lets
+        :class:`~repro.env.iostats.IOStats` keep a running total.
+        """
+        par = self.parallelism.get(tag, 1.0)
+        return (self._op_time(op, pattern, 1, 0) / par,
+                self._op_time(op, pattern, 0, 1) / par)
+
     def breakdown(self, stats: IOStats) -> TimeBreakdown:
         """Modelled time per tag, after applying parallelism factors."""
         out = TimeBreakdown()

@@ -11,6 +11,13 @@ is recorded here, keyed by three dimensions:
   ``"scan_value"``, ...).  Tags let the cost model charge background work
   with a parallelism factor and let the harness compute read/write
   amplification per purpose.
+
+:attr:`IOStats.seconds` is the running device time of everything recorded,
+priced with the default :class:`~repro.env.cost_model.DeviceCostModel`.
+The model is linear in (ops, bytes) for each (op, pattern, tag), so each
+record carries its two coefficients, computed once per key, and every I/O
+adds its seconds as it lands: reading the total is O(1) instead of a walk
+over the records.  It is the store's virtual clock.
 """
 
 from __future__ import annotations
@@ -22,6 +29,19 @@ WRITE = "write"
 SEQ = "seq"
 RAND = "rand"
 
+#: (seconds per op, seconds per byte) of each (op, pattern, tag) under the
+#: default device model, filled as keys are first seen
+_COEFFICIENTS: dict[tuple[str, str, str], tuple[float, float]] = {}
+
+
+def _coefficients(key: tuple[str, str, str]) -> tuple[float, float]:
+    coeffs = _COEFFICIENTS.get(key)
+    if coeffs is None:
+        # Imported here: the cost model module imports this one.
+        from repro.env.cost_model import DeviceCostModel
+        coeffs = _COEFFICIENTS[key] = DeviceCostModel().coefficients(*key)
+    return coeffs
+
 
 @dataclass
 class IORecord:
@@ -29,10 +49,9 @@ class IORecord:
 
     ops: int = 0
     bytes: int = 0
-
-    def add(self, nbytes: int) -> None:
-        self.ops += 1
-        self.bytes += nbytes
+    #: modelled seconds per op and per byte under the default device model
+    op_seconds: float = field(default=0.0, compare=False, repr=False)
+    byte_seconds: float = field(default=0.0, compare=False, repr=False)
 
 
 @dataclass
@@ -40,14 +59,22 @@ class IOStats:
     """Mutable aggregate of all I/O issued against one disk."""
 
     records: dict[tuple[str, str, str], IORecord] = field(default_factory=dict)
+    #: modelled device seconds of the records: priced by :meth:`record`,
+    #: carried by snapshot/delta/merge
+    seconds: float = field(default=0.0, compare=False)
 
     def record(self, op: str, pattern: str, tag: str, nbytes: int) -> None:
         key = (op, pattern, tag)
         rec = self.records.get(key)
         if rec is None:
-            rec = IORecord()
-            self.records[key] = rec
-        rec.add(nbytes)
+            rec = self.records[key] = self._new_record(key)
+        rec.ops += 1
+        rec.bytes += nbytes
+        self.seconds += rec.op_seconds + nbytes * rec.byte_seconds
+
+    @staticmethod
+    def _new_record(key: tuple[str, str, str]) -> IORecord:
+        return IORecord(0, 0, *_coefficients(key))
 
     # -- aggregation helpers -------------------------------------------------
 
@@ -92,20 +119,22 @@ class IOStats:
 
     def snapshot(self) -> "IOStats":
         """An independent copy, useful for before/after deltas."""
-        copy = IOStats()
+        copy = IOStats(seconds=self.seconds)
         for key, rec in self.records.items():
-            copy.records[key] = IORecord(rec.ops, rec.bytes)
+            copy.records[key] = IORecord(rec.ops, rec.bytes, rec.op_seconds,
+                                         rec.byte_seconds)
         return copy
 
     def delta_since(self, before: "IOStats") -> "IOStats":
         """Counters accumulated since ``before`` was snapshotted."""
-        out = IOStats()
+        out = IOStats(seconds=self.seconds - before.seconds)
         for key, rec in self.records.items():
             prior = before.records.get(key)
             ops = rec.ops - (prior.ops if prior else 0)
             nbytes = rec.bytes - (prior.bytes if prior else 0)
             if ops or nbytes:
-                out.records[key] = IORecord(ops, nbytes)
+                out.records[key] = IORecord(ops, nbytes, rec.op_seconds,
+                                            rec.byte_seconds)
         return out
 
     def merge(self, other: "IOStats") -> None:
@@ -113,13 +142,14 @@ class IOStats:
         for key, rec in other.records.items():
             mine = self.records.get(key)
             if mine is None:
-                self.records[key] = IORecord(rec.ops, rec.bytes)
-            else:
-                mine.ops += rec.ops
-                mine.bytes += rec.bytes
+                mine = self.records[key] = self._new_record(key)
+            mine.ops += rec.ops
+            mine.bytes += rec.bytes
+        self.seconds += other.seconds
 
     def reset(self) -> None:
         self.records.clear()
+        self.seconds = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rows = ", ".join(

@@ -39,7 +39,11 @@ class LogHistogram:
         if not 0.0 < relative_error < 1.0:
             raise ValueError("relative_error must be in (0, 1)")
         self.relative_error = relative_error
-        self._gamma = (1.0 + relative_error) / (1.0 - relative_error)
+        # A value on a bucket edge (v == gamma**i) sits exactly eps from the
+        # midpoint, so bucket with a hair less than eps: float rounding in the
+        # log and the midpoint then cannot push an estimate past the bound.
+        bucket_error = relative_error * (1.0 - 1e-6)
+        self._gamma = (1.0 + bucket_error) / (1.0 - bucket_error)
         self._log_gamma = math.log(self._gamma)
         self.buckets: dict[int, int] = {}
         self.zero_count = 0

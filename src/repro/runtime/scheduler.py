@@ -23,6 +23,10 @@ virtualizes is the *device-time accounting*:
   (RocksDB's write stop).  Stall seconds advance the foreground clock, so
   sustained over-submission converges to device-bound throughput instead of
   modelling a free infinite queue.
+
+The clock is O(1) to read: the disk's :class:`~repro.env.iostats.IOStats`
+keeps a running total of modelled device seconds, priced as each I/O
+lands, and ``background_io`` keeps the background share of it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.env.cost_model import DeviceCostModel
 from repro.env.iostats import IOStats
 from repro.env.storage import SimulatedDisk
 
@@ -110,14 +113,12 @@ class MaintenanceScheduler:
     """Per-store scheduler: runs jobs, virtualizes their device time."""
 
     def __init__(self, disk: SimulatedDisk, background_threads: int = 0,
-                 cost_model: DeviceCostModel | None = None,
                  slowdown_trigger: int = 4, stop_trigger: int = 8,
                  slowdown_penalty_us: float = 200.0,
                  stats: WriteStallStats | None = None,
                  metrics=None) -> None:
         self._disk = disk
         self.background_threads = int(background_threads)
-        self.cost_model = cost_model if cost_model is not None else DeviceCostModel()
         self.slowdown_trigger = slowdown_trigger
         self.stop_trigger = stop_trigger
         self.slowdown_penalty_us = slowdown_penalty_us
@@ -129,7 +130,8 @@ class MaintenanceScheduler:
         #: scheduling behaviour is identical with or without it
         self.metrics = metrics
         #: I/O already attributed to background lanes (subtracted from the
-        #: disk totals to obtain the foreground-only counters)
+        #: disk totals to obtain the foreground-only counters); its
+        #: ``seconds`` is the background share of the disk's running total
         self.background_io = IOStats()
         self._lanes: list[float] = [0.0] * max(0, self.background_threads)
         self._inflight: list[float] = []  # heap of virtual job-end times
@@ -147,9 +149,12 @@ class MaintenanceScheduler:
     # -- virtual clock ------------------------------------------------------------
 
     def foreground_clock(self) -> float:
-        """Virtual now: foreground device seconds + accumulated stalls."""
-        fg = self._disk.stats.delta_since(self.background_io)
-        return self.cost_model.seconds(fg) + self.stats.stall_seconds
+        """Virtual now: foreground device seconds + accumulated stalls.
+
+        O(1): both device terms are running totals kept as I/O lands.
+        """
+        return (self._disk.stats.seconds - self.background_io.seconds
+                + self.stats.stall_seconds)
 
     def backlog_seconds(self) -> float:
         """How far the busiest background lane runs past the clock."""
@@ -159,7 +164,8 @@ class MaintenanceScheduler:
 
     def queue_depth(self) -> int:
         """Background jobs still running at the current virtual clock."""
-        self._prune_finished(self.foreground_clock())
+        if self._inflight:
+            self._prune_finished(self.foreground_clock())
         return len(self._inflight)
 
     # -- submission ---------------------------------------------------------------
@@ -174,16 +180,18 @@ class MaintenanceScheduler:
         """
         if job.trigger is not None and not job.trigger():
             return job
-        before = self._disk.stats.snapshot()
-        nested_before = self.background_io.snapshot()
+        disk_io, background_io = self._disk.stats, self.background_io
+        if self.overlapped:
+            # Only background lanes need the job's records, not just its time.
+            before = disk_io.snapshot()
+            nested_before = background_io.snapshot()
+        disk_start, nested_start = disk_io.seconds, background_io.seconds
         job.result = job.fn()
         job.ran = True
-        raw = self._disk.stats.delta_since(before)
         # I/O that nested job submissions already attributed to the
         # background is not this job's own traffic.
-        nested = self.background_io.delta_since(nested_before)
-        own = raw.delta_since(nested)
-        job.duration_seconds = self.cost_model.seconds(own)
+        job.duration_seconds = ((disk_io.seconds - disk_start)
+                                - (background_io.seconds - nested_start))
         self.stats.job_counts[job.kind] = self.stats.job_counts.get(job.kind, 0) + 1
         self.stats.job_seconds[job.kind] = (
             self.stats.job_seconds.get(job.kind, 0.0) + job.duration_seconds)
@@ -192,6 +200,9 @@ class MaintenanceScheduler:
                 "maintenance_job_seconds", kind=job.kind).record(
                     job.duration_seconds)
         if self.overlapped:
+            # Same arithmetic as the duration above, so own.seconds equals it.
+            own = disk_io.delta_since(before).delta_since(
+                background_io.delta_since(nested_before))
             self._account_background(job, own)
         return job
 

@@ -13,8 +13,11 @@ pause before applying it.  No lock is needed: the handler never awaits,
 so each store operation runs to completion on the one event loop.
 
 **Graceful drain.**  :meth:`KVServer.stop` closes the listening socket,
-lets every connection finish the requests it has already received, flushes
-their responses, then closes the shards via :meth:`ShardRouter.close`.
+then stops reading every connection and wakes its pending read with
+``feed_eof()``: the read loop answers the requests already received (a
+busy connection finishes its batch, bytes already buffered are still
+decoded), flushes the responses, sees EOF and leaves; an idle connection
+leaves at once.  Then the shards close via :meth:`ShardRouter.close`.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ class KVServer(RequestHandler):
         self.port = port
         self.close_router_on_stop = close_router_on_stop
         self._server: asyncio.AbstractServer | None = None
-        #: live connection tasks, awaited by drain
-        self._connections: set[asyncio.Task] = set()
-        self._stopping = asyncio.Event()
+        #: live connection tasks and their streams, awaited by drain
+        self._connections: dict[asyncio.Task, tuple[asyncio.StreamReader,
+                                                    asyncio.StreamWriter]] = {}
         self._stopped = False
 
     # -- lifecycle --------------------------------------------------------------------
@@ -70,8 +73,13 @@ class KVServer(RequestHandler):
         self._stopped = True
         if self._server is not None:
             self._server.close()
+        # Before wait_closed: from Python 3.12.1 it also waits for every
+        # accepted connection to close, which an idle one only does once
+        # it reads EOF.  Tasks that start later drain themselves.
+        for reader, writer in self._connections.values():
+            _stop_reading(reader, writer)
+        if self._server is not None:
             await self._server.wait_closed()
-        self._stopping.set()
         tasks = list(self._connections)
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
@@ -83,46 +91,39 @@ class KVServer(RequestHandler):
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
-        self._connections.add(task)
+        self._connections[task] = (reader, writer)
+        if self._stopped:
+            _stop_reading(reader, writer)
         session = Session()
         self.stats.connections += 1
         decoder = FrameDecoder(self.max_frame_bytes)
-        stop_wait: asyncio.Task | None = None
         try:
-            while not self._stopping.is_set():
-                read = asyncio.ensure_future(reader.read(64 * 1024))
-                stop_wait = asyncio.ensure_future(self._stopping.wait())
-                done, __ = await asyncio.wait(
-                    {read, stop_wait}, return_when=asyncio.FIRST_COMPLETED)
-                if read not in done:
-                    # Draining while idle: nothing buffered, just leave.
-                    read.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await read
-                    break
-                stop_wait.cancel()
-                data = read.result()
+            while True:
+                data = await reader.read(64 * 1024)
                 if not data:
                     break
+                if self._stopped:
+                    # A reader that paused on a full buffer resumes the
+                    # transport as it drains; data arriving after feed_eof
+                    # would fail the stream's assertion.
+                    writer.transport.pause_reading()
                 for item in decoder.feed(data):
                     writer.write(await self._respond(item, session))
                 await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except ConnectionError:
             pass
         except asyncio.CancelledError:
             # Loop teardown (e.g. a failing test harness) — exit quietly;
-            # graceful drain goes through self._stopping, not cancellation.
+            # graceful drain goes through feed_eof, not cancellation.
             pass
         finally:
-            if stop_wait is not None and not stop_wait.done():
-                stop_wait.cancel()
             # Stay registered until the socket is closed, so stop() waits
             # for the close instead of leaving it to the loop's teardown,
             # which would cancel it mid-wait and log the cancellation.
             with contextlib.suppress(ConnectionError, OSError):
                 writer.close()
                 await writer.wait_closed()
-            self._connections.discard(task)
+            del self._connections[task]
 
     async def _respond(self, item: bytes | FrameTooLarge,
                        session: Session) -> bytes:
@@ -133,6 +134,14 @@ class KVServer(RequestHandler):
             await asyncio.sleep(reply.pause_s)
             reply = reply.apply()
         return reply
+
+
+def _stop_reading(reader: asyncio.StreamReader,
+                  writer: asyncio.StreamWriter) -> None:
+    """Drain one connection: no more socket reads, and a pending (or the
+    next) ``reader.read`` returns what is buffered, then EOF."""
+    writer.transport.pause_reading()
+    reader.feed_eof()
 
 
 async def _periodic_stats_dump(server: KVServer, interval: float) -> None:

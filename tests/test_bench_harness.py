@@ -60,6 +60,15 @@ def test_run_workload_isolates_phases():
     assert read_metrics.num_ops == 1
 
 
+def test_overlapped_store_rejects_a_model_its_lanes_do_not_use():
+    db = UniKV(config=tiny_unikv_config(background_threads=1))
+    with pytest.raises(ValueError):
+        run_workload(db, load_phase(10, 50),
+                     cost_model=DeviceCostModel(seq_write_mb_s=100.0))
+    assert run_workload(db, load_phase(10, 50),
+                        cost_model=DeviceCostModel()).num_ops == 10
+
+
 def test_cpu_cost_prevents_zero_division():
     db = LevelDBStore(config=small_config())
     db.put(b"k", b"v")

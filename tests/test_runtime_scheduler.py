@@ -1,11 +1,16 @@
 """Unit tests for the maintenance-scheduler runtime (repro.runtime)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import UniKV
 from repro.env.cost_model import DeviceCostModel
 from repro.env.iostats import IOStats
 from repro.env.storage import SimulatedDisk
 from repro.runtime import Job, MaintenanceScheduler, WriteStallStats
+from repro.workloads import make_key
+from tests.conftest import tiny_unikv_config
 
 
 def write_bytes(disk, name, n, tag):
@@ -16,7 +21,6 @@ def write_bytes(disk, name, n, tag):
 
 def make_scheduler(**kwargs):
     disk = SimulatedDisk()
-    kwargs.setdefault("cost_model", DeviceCostModel())
     return disk, MaintenanceScheduler(disk, **kwargs)
 
 
@@ -95,8 +99,7 @@ def test_nested_jobs_not_double_counted():
     # nested merge's 3000 bytes were attributed when the inner job ran.
     assert scheduler.background_io.bytes_for(tag="flush") == 1000
     assert scheduler.background_io.bytes_for(tag="merge") == 3000
-    model = scheduler.cost_model
-    expected = model.seconds(
+    expected = DeviceCostModel().seconds(
         scheduler.background_io.delta_since(IOStats()))
     total = sum(scheduler.stats.job_seconds.values())
     assert total == pytest.approx(expected)
@@ -184,3 +187,107 @@ def test_write_stall_stats_as_dict_superset():
     assert set(d) >= {"flushes", "compactions", "gc_runs", "stall_seconds",
                       "stall_events", "queue_depth_high_water",
                       "job_counts", "job_seconds"}
+
+
+# -- running-total clock vs the record rebuild -----------------------------------------
+
+
+def track_reference_job_seconds(disk, scheduler) -> dict[str, float]:
+    """Re-derive every job's duration by the record rebuild the running
+    totals replaced: the model's price of the job's own record delta, I/O
+    its nested jobs moved to the background excluded."""
+    model = DeviceCostModel()
+    expected: dict[str, float] = {}
+    submit = scheduler.submit
+
+    def measured_submit(job):
+        fn = job.fn
+
+        def measured():
+            before = disk.stats.snapshot()
+            nested_before = scheduler.background_io.snapshot()
+            result = fn()
+            own = disk.stats.delta_since(before).delta_since(
+                scheduler.background_io.delta_since(nested_before))
+            expected[job.kind] = expected.get(job.kind, 0.0) + model.seconds(own)
+            return result
+
+        job.fn = measured
+        return submit(job)
+
+    scheduler.submit = measured_submit
+    return expected
+
+
+def assert_clock_matches_reference(disk, scheduler, expected=None):
+    reference = (DeviceCostModel().seconds(
+        disk.stats.delta_since(scheduler.background_io))
+        + scheduler.stats.stall_seconds)
+    assert scheduler.foreground_clock() == pytest.approx(reference, rel=1e-9)
+    for kind, seconds in (expected or {}).items():
+        assert scheduler.stats.job_seconds[kind] == pytest.approx(seconds, rel=1e-9)
+
+
+_IO = st.tuples(st.sampled_from(["read", "write"]), st.sampled_from(["seq", "rand"]),
+                st.sampled_from(["wal", "flush", "merge", "lookup", "scan_value"]),
+                st.integers(0, 1 << 20))
+_STEP = st.recursive(
+    st.tuples(st.just("io"), _IO),
+    lambda steps: st.tuples(st.sampled_from(["flush", "merge", "gc"]),
+                            st.lists(steps, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(threads=st.sampled_from([0, 1, 2]), script=st.lists(_STEP, max_size=12))
+def test_running_clock_matches_record_rebuild(threads, script):
+    # Low triggers and a small penalty so slowdown and stop stalls fire.
+    disk, scheduler = make_scheduler(background_threads=threads, slowdown_trigger=2,
+                                     stop_trigger=3, slowdown_penalty_us=50.0)
+    expected = track_reference_job_seconds(disk, scheduler)
+
+    def run(step):
+        if step[0] == "io":
+            disk.stats.record(*step[1])
+        else:
+            kind, body = step
+            scheduler.submit(Job(kind=kind, fn=lambda: [run(s) for s in body]))
+
+    for step in script:
+        run(step)
+        assert_clock_matches_reference(disk, scheduler)
+    assert_clock_matches_reference(disk, scheduler, expected)
+
+
+@pytest.mark.parametrize("threads", [0, 1, 2])
+@pytest.mark.parametrize("reopen", ["clone", "crash_clone"])
+def test_running_clock_matches_record_rebuild_after_recovery(threads, reopen):
+    """Recovery reads land before the store builds its scheduler; they are
+    priced as they land, so the clock still matches the rebuild."""
+    config = tiny_unikv_config(background_threads=threads)
+    db = UniKV(disk=SimulatedDisk(sync_tracking=True), config=config)
+    for i in range(400):
+        db.put(make_key(i), b"v" * 48)
+    disk = db.disk.clone() if reopen == "clone" else db.disk.crash_clone(7)
+    recovered = UniKV(disk=disk, config=config)
+    scheduler = recovered.scheduler
+    assert disk.stats.read_ops > 0
+    assert_clock_matches_reference(disk, scheduler)
+    expected = track_reference_job_seconds(disk, scheduler)
+    for i in range(600):
+        recovered.put(make_key(i * 7 % 900), b"w" * 64)
+        if i % 5 == 0:
+            recovered.get(make_key(i))
+            recovered.scan(make_key(i), 20)
+        if i % 50 == 0:
+            assert_clock_matches_reference(disk, scheduler)
+    assert expected and scheduler.stats.job_counts
+    assert_clock_matches_reference(disk, scheduler, expected)
+
+
+def test_sync_pressure_probe_reads_no_clock(monkeypatch):
+    __, scheduler = make_scheduler(background_threads=0)
+    monkeypatch.setattr(scheduler, "foreground_clock",
+                        lambda: pytest.fail("clock read"))
+    assert scheduler.queue_depth() == 0
+    assert scheduler.backlog_seconds() == 0.0

@@ -304,6 +304,77 @@ async def _graceful_stop():
     await client.close()
 
 
+async def read_replies(reader, count):
+    decoder = protocol.FrameDecoder()
+    replies = []
+    while len(replies) < count:
+        data = await asyncio.wait_for(reader.read(4096), 5)
+        assert data, "server closed before answering"
+        replies.extend(decoder.feed(data))
+    assert len(replies) == count
+    return replies
+
+
+def test_stop_releases_idle_connection_promptly():
+    asyncio.run(_stop_releases_idle_connection())
+
+
+async def _stop_releases_idle_connection():
+    server = make_sharded_server()
+    await server.start()
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    writer.write(protocol.encode_ping(b"hi"))
+    await writer.drain()
+    await read_replies(reader, 1)
+    # The connection now sits idle in a socket read.
+    loop = asyncio.get_running_loop()
+    started = loop.time()
+    await asyncio.wait_for(server.stop(), 2)
+    assert loop.time() - started < 1.0
+    assert await asyncio.wait_for(reader.read(4096), 2) == b""
+    assert server.router.closed
+    writer.close()
+
+
+def test_stop_answers_requests_pipelined_before_it():
+    asyncio.run(_stop_answers_pipelined())
+
+
+async def _stop_answers_pipelined():
+    """A request received while the connection is busy is answered by the
+    drain, not dropped, and only then does the connection close."""
+    server = make_sharded_server()
+    await server.start()
+    busy, gate = asyncio.Event(), asyncio.Event()
+    respond = server._respond
+
+    async def gated_respond(item, session):
+        busy.set()
+        await gate.wait()
+        return await respond(item, session)
+
+    server._respond = gated_respond
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    writer.write(protocol.encode_put(make_key(1), b"first"))
+    await writer.drain()
+    await asyncio.wait_for(busy.wait(), 5)
+    # Pipelined while the server is busy with the first request.
+    writer.write(protocol.encode_get(make_key(1)))
+    await writer.drain()
+    await asyncio.sleep(0.05)
+    stopping = asyncio.create_task(server.stop())
+    await asyncio.sleep(0.05)
+    assert not stopping.done()
+    gate.set()
+    replies = await read_replies(reader, 2)
+    assert [protocol.decode_response(r)[0] for r in replies] == [Status.OK] * 2
+    assert protocol.decode_value_body(protocol.decode_response(replies[1])[1]) \
+        == b"first"
+    assert await asyncio.wait_for(reader.read(4096), 5) == b""
+    await asyncio.wait_for(stopping, 5)
+    writer.close()
+
+
 def test_run_server_lifecycle_in_process(capsys):
     asyncio.run(_run_server_lifecycle())
 
