@@ -47,7 +47,7 @@ async def main() -> None:
         pairs = await client.scan(make_key(495), 10)
         print("scan across shards->", [k.decode() for k, __ in pairs])
 
-        # -- aggregated per-shard stats (server + WriteStallStats) -------------
+        # -- per-shard and aggregate stats, read off the metrics registries --
         stats = await client.stats()
         for shard in stats["shards"]:
             print(f"shard {shard['shard']}: partitions={shard['partitions']} "

@@ -52,9 +52,10 @@ def main() -> None:
             "scan_entries/s": round(queries * 60 / scan_metrics.modelled_seconds),
         })
         if isinstance(store, UniKV):
+            stats = store.stats
             print(f"UniKV structure: {store.num_partitions()} partitions, "
-                  f"{store.stats.scan_merges} size-based scan merges, "
-                  f"{store.stats.splits} range splits")
+                  f"{stats['scan_merges']} size-based scan merges, "
+                  f"{stats['splits']} range splits")
         store.close()
     print()
     print(format_table("metrics pipeline: sequential ingest + window scans",

@@ -47,7 +47,7 @@ def main() -> None:
         row = metrics.as_row()
         if isinstance(store, UniKV):
             row["notes"] = (f"{store.num_partitions()} partitions, "
-                            f"{store.stats.gc_runs} GCs")
+                            f"{store.stats['gc_runs']} GCs")
         else:
             row["notes"] = f"levels {store.level_file_counts()}"
         rows.append(row)

@@ -118,13 +118,13 @@ def stats_main(argv: list[str]) -> int:
 
     from repro.obs import snapshot_to_prometheus
     from repro.obs.render import render_stats
-    from repro.service.client import KVClient
+    from repro.service.client import KVClient, TransientError
 
     args = build_stats_parser().parse_args(argv)
     client = KVClient(args.host, args.port, timeout=args.timeout)
     try:
         payload = client.stats()
-    except (ConnectionError, OSError, TimeoutError) as exc:
+    except (ConnectionError, OSError, TimeoutError, TransientError) as exc:
         print(f"cannot reach {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
     finally:

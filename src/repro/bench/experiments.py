@@ -318,7 +318,7 @@ def run_e11_sensitivity(num_records: int = 5000, reads: int = 1500,
             "knob": "unsorted_limit", "value_KB": limit // 1024,
             "load_kops": round(load.throughput_kops, 2),
             "read_kops": round(read.throughput_kops, 2),
-            "merges": store.stats.merges,
+            "merges": store.stats["merges"],
             "index_KB": round(store.index_memory_bytes() / 1024, 1),
             "partitions": store.num_partitions(),
         })
@@ -330,7 +330,7 @@ def run_e11_sensitivity(num_records: int = 5000, reads: int = 1500,
             "knob": "partition_limit", "value_KB": limit // 1024,
             "load_kops": round(load.throughput_kops, 2),
             "read_kops": round(read.throughput_kops, 2),
-            "merges": store.stats.merges,
+            "merges": store.stats["merges"],
             "index_KB": round(store.index_memory_bytes() / 1024, 1),
             "partitions": store.num_partitions(),
         })
@@ -474,13 +474,11 @@ def run_e14_gc_comparison(num_records: int = 3000, updates: int = 9000,
                                update_phase(num_records, updates, value_size),
                                phase="update")
         stats = store.disk.stats
-        gc_runs = (store.gc_runs if name == "WiscKey"
-                   else store.stats.gc_runs)
         rows.append({
             "engine": name,
             "update_kops": round(metrics.throughput_kops, 2),
             "write_amp": round(metrics.write_amplification, 2),
-            "gc_runs": gc_runs,
+            "gc_runs": store.scheduler.describe()["job_counts"].get("gc", 0),
             "gc_index_queries": stats.ops_for(op="read", tag="gc_lookup"),
             "gc_MB": round((stats.bytes_for(op="read", tag="gc")
                             + stats.bytes_for(op="write", tag="gc")) / 1048576, 2),
@@ -554,17 +552,17 @@ def run_e16_background_overlap(engines=("LevelDB", "RocksDB", "PebblesDB",
             update = run_workload(
                 store, update_phase(num_records, updates, value_size),
                 phase="update")
-            stats = store.scheduler.stats
+            stats = store.scheduler.describe()
             rows.append({
                 "engine": name,
                 "bg": bg,
                 "load_kops": round(load.throughput_kops, 2),
                 "update_kops": round(update.throughput_kops, 2),
                 "write_amp": round(update.write_amplification, 2),
-                "stall_ms": round(stats.stall_seconds * 1000, 2),
-                "stalls": stats.stall_events,
-                "queue_hw": stats.queue_depth_high_water,
-                "jobs": sum(stats.job_counts.values()),
+                "stall_ms": round(stats["stall_seconds"] * 1000, 2),
+                "stalls": stats["stall_events"],
+                "queue_hw": stats["queue_depth_high_water"],
+                "jobs": sum(stats["job_counts"].values()),
             })
     text = format_table(
         f"E16 background overlap (bg=0 vs bg={background_threads})", rows)

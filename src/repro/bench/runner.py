@@ -110,7 +110,7 @@ def run_workload(store: KVStore, ops: Iterable[tuple], phase: str = "run",
     before = stats.snapshot()
     bg_before = (scheduler.background_io.snapshot()
                  if scheduler is not None else None)
-    stall_before = scheduler.stats.stall_seconds if scheduler is not None else 0.0
+    stall_before = scheduler.stalls.sum if scheduler is not None else 0.0
     latencies: dict[str, LogHistogram] = {}
     if collect_latencies:
         num_ops = 0
@@ -128,9 +128,9 @@ def run_workload(store: KVStore, ops: Iterable[tuple], phase: str = "run",
             if scheduler is not None:
                 bg_now = scheduler.background_io.snapshot()
                 op_delta = op_delta.delta_since(bg_now.delta_since(bg_cursor))
-                op_stall = scheduler.stats.stall_seconds - stall_cursor
+                op_stall = scheduler.stalls.sum - stall_cursor
                 bg_cursor = bg_now
-                stall_cursor = scheduler.stats.stall_seconds
+                stall_cursor = scheduler.stalls.sum
             op_seconds = (model.seconds(op_delta) + op_stall
                           + cpu_us_per_op * 1e-6)
             hist = latencies.get(op[0])
@@ -145,14 +145,14 @@ def run_workload(store: KVStore, ops: Iterable[tuple], phase: str = "run",
         bg_delta = scheduler.background_io.snapshot().delta_since(bg_before)
         breakdown = model.breakdown(delta.delta_since(bg_delta))
         breakdown.background_seconds = base.seconds(bg_delta)
-        breakdown.stall_seconds = scheduler.stats.stall_seconds - stall_before
+        breakdown.stall_seconds = scheduler.stalls.sum - stall_before
     else:
         breakdown = model.breakdown(delta)
     seconds = breakdown.total + num_ops * cpu_us_per_op * 1e-6
     extra = {}
     if scheduler is not None:
         extra["background_threads"] = scheduler.background_threads
-        extra["queue_depth_high_water"] = scheduler.stats.queue_depth_high_water
+        extra["queue_depth_high_water"] = scheduler.describe()["queue_depth_high_water"]
         extra["background_backlog_seconds"] = scheduler.backlog_seconds()
     return RunMetrics(
         engine=store.name,

@@ -2,12 +2,10 @@
 
 Holds the pieces every component needs — disk, config, manifest, file-number
 allocators, the shared-value-log reference registry (for lazy split), the
-block cache, counters, and the crash-injection hook.
+block cache, the metrics registry, and the crash-injection hook.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.engine.block_cache import BlockCache
 from repro.engine.sstable import SSTableReader
@@ -16,24 +14,8 @@ from repro.engine.vlog import VLogReader
 from repro.core.config import UniKVConfig
 from repro.core.manifest import Manifest
 from repro.env.storage import SimulatedDisk
-from repro.obs import registry_for
+from repro.obs import MetricsRegistry
 from repro.runtime.scheduler import MaintenanceScheduler
-
-
-@dataclass
-class CoreStats:
-    """Operation counters surfaced through UniKV.stats."""
-
-    flushes: int = 0
-    merges: int = 0
-    scan_merges: int = 0
-    gc_runs: int = 0
-    splits: int = 0
-    index_checkpoints: int = 0
-    hash_false_positive_probes: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return self.__dict__.copy()
 
 
 class StoreContext:
@@ -44,11 +26,9 @@ class StoreContext:
         self.disk = disk
         self.config = config
         self.manifest = manifest
-        #: live metrics (repro.obs); the no-op registry when disabled.
-        #: Never performs I/O, so store behaviour is identical either way.
-        self.metrics = registry_for(config.metrics_enabled)
+        #: every count the store keeps (repro.obs); never performs I/O
+        self.metrics = MetricsRegistry()
         self.cache = BlockCache(config.block_cache_bytes, metrics=self.metrics)
-        self.stats = CoreStats()
         self.next_table = 0
         self.next_log = 0
         self.next_partition = 0
@@ -70,11 +50,10 @@ class StoreContext:
             slowdown_penalty_us=config.slowdown_penalty_us,
             metrics=self.metrics,
         )
-        if self.metrics.enabled:
-            # Span timers measure on the scheduler's deterministic virtual
-            # clock (modelled device seconds + stall seconds), so metric
-            # snapshots are reproducible across runs and asserted exactly.
-            self.metrics.clock = self.scheduler.foreground_clock
+        # Span timers measure on the scheduler's deterministic virtual
+        # clock (modelled device seconds + stall seconds), so metric
+        # snapshots are reproducible across runs and asserted exactly.
+        self.metrics.clock = self.scheduler.foreground_clock
 
     # -- crash injection -------------------------------------------------------------
 

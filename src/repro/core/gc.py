@@ -115,4 +115,3 @@ def run_gc(ctx: StoreContext, partition: Partition) -> None:
         partition.add_log(new_log)
     for name in old_tables:
         ctx.drop_table(name)
-    ctx.stats.gc_runs += 1

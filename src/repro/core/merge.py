@@ -132,4 +132,3 @@ def merge_partition(ctx: StoreContext, partition: Partition) -> None:
             partition.release_log(log)
     for name in old_unsorted + old_sorted:
         ctx.drop_table(name)
-    ctx.stats.merges += 1

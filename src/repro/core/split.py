@@ -124,5 +124,4 @@ def split_partition(ctx: StoreContext, partition: Partition) -> list[Partition] 
     partition.release_all_logs()
     for name in old_tables:
         ctx.drop_table(name)
-    ctx.stats.splits += 1
     return new_parts

@@ -44,6 +44,7 @@ from repro.core.partition import Partition
 from repro.core.split import split_partition
 from repro.env.storage import SimulatedDisk
 from repro.lsm.base import KVStore
+from repro.obs import core_view
 from repro.runtime.scheduler import Job
 
 Record = tuple[bytes, int, bytes]
@@ -87,8 +88,10 @@ class UniKV(KVStore):
         return self.ctx.disk
 
     @property
-    def stats(self):
-        return self.ctx.stats
+    def stats(self) -> dict:
+        """Structural event counts (flushes, merges, GC runs, ...), read
+        off the metrics registry (:func:`repro.obs.core_view`)."""
+        return core_view(self.metrics_snapshot())
 
     @property
     def scheduler(self):
@@ -106,26 +109,28 @@ class UniKV(KVStore):
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
         metrics = self.ctx.metrics
-        start = metrics.clock() if metrics.enabled else 0.0
+        timed = self.config.metrics_enabled
+        start = metrics.clock() if timed else 0.0
         partition = self._partition_for(key)
         if partition.wal is not None:
             partition.wal.append(key, KIND_VALUE, value)
         partition.mem.put(key, value)
         self._maybe_flush(partition)
-        if metrics.enabled:
+        if timed:
             metrics.histogram("unikv_op_seconds", op="put").record(
                 metrics.clock() - start)
 
     def delete(self, key: bytes) -> None:
         self._check_open()
         metrics = self.ctx.metrics
-        start = metrics.clock() if metrics.enabled else 0.0
+        timed = self.config.metrics_enabled
+        start = metrics.clock() if timed else 0.0
         partition = self._partition_for(key)
         if partition.wal is not None:
             partition.wal.append(key, KIND_TOMBSTONE, b"")
         partition.mem.delete(key)
         self._maybe_flush(partition)
-        if metrics.enabled:
+        if timed:
             metrics.histogram("unikv_op_seconds", op="delete").record(
                 metrics.clock() - start)
 
@@ -140,7 +145,8 @@ class UniKV(KVStore):
         """
         self._check_open()
         metrics = self.ctx.metrics
-        start = metrics.clock() if metrics.enabled else 0.0
+        timed = self.config.metrics_enabled
+        start = metrics.clock() if timed else 0.0
         groups: dict[int, list[tuple[bytes, int, bytes]]] = {}
         for op in ops:
             if op[0] == "put":
@@ -164,18 +170,18 @@ class UniKV(KVStore):
         for partition in touched:
             if partition in self.partitions:
                 self._maybe_flush(partition)
-        if metrics.enabled:
+        if timed:
             metrics.histogram("unikv_op_seconds", op="batch").record(
                 metrics.clock() - start)
 
     def get(self, key: bytes) -> bytes | None:
-        metrics = self.ctx.metrics
-        if not metrics.enabled:
+        if not self.config.metrics_enabled:
             return self._partition_for(key).get(key)
         # Span timing on the scheduler's virtual clock, split by which
         # layer answered: the UnsortedStore hash-hit path vs the
         # KV-separated SortedStore path (the paper's differentiated
         # lookup is exactly this latency asymmetry).
+        metrics = self.ctx.metrics
         start = metrics.clock()
         value, path = self._partition_for(key).get_with_path(key)
         metrics.histogram("unikv_op_seconds", op="get", path=path).record(
@@ -190,9 +196,9 @@ class UniKV(KVStore):
         run; pointer values are fetched through the parallel-fetch tag.
         Partitions are disjoint and sorted, so they are consumed in order.
         """
-        metrics = self.ctx.metrics
-        if not metrics.enabled:
+        if not self.config.metrics_enabled:
             return self._scan(start, count)
+        metrics = self.ctx.metrics
         span_start = metrics.clock()
         out = self._scan(start, count)
         metrics.histogram("unikv_op_seconds", op="scan").record(
@@ -344,7 +350,6 @@ class UniKV(KVStore):
         })
         partition.unsorted.add_flushed_table(table_id, meta, keys)
         partition.mem = MemTable(seed=self.config.seed)
-        self.ctx.stats.flushes += 1
         if partition.wal is not None:
             self._rotate_wal(partition)
         self._maybe_checkpoint_index(partition)
@@ -452,7 +457,7 @@ class UniKV(KVStore):
         self._drop_checkpoint(partition.id)
         self._checkpoints[partition.id] = (name, covered)
         partition.unsorted.flushes_since_checkpoint = 0
-        self.ctx.stats.index_checkpoints += 1
+        self.ctx.metrics.counter("index_checkpoints_total").inc()
 
     def _drop_checkpoint(self, partition_id: int) -> None:
         prior = self._checkpoints.pop(partition_id, None)
@@ -493,7 +498,7 @@ class UniKV(KVStore):
     def describe(self) -> dict:
         return {
             "partitions": [p.describe() for p in self.partitions],
-            "stats": self.ctx.stats.as_dict(),
+            "stats": self.stats,
             "index_memory_bytes": self.index_memory_bytes(),
             "runtime": self.ctx.scheduler.describe(),
         }

@@ -32,6 +32,7 @@ class UnsortedStore:
         self.index = HashIndex(ctx.config.hash_buckets, ctx.config.hash_functions)
         #: flushes since the last index checkpoint (crash consistency)
         self.flushes_since_checkpoint = 0
+        self._false_positives = ctx.metrics.counter("hash_false_positive_probes_total")
 
     # -- writes -----------------------------------------------------------------
 
@@ -58,7 +59,7 @@ class UnsortedStore:
             found = self._ctx.table_reader(meta.name).get(key, tag="lookup")
             if found is not None:
                 return found
-            self._ctx.stats.hash_false_positive_probes += 1
+            self._false_positives.inc()
         return None
 
     def scan_sources(self, start: bytes) -> list[Iterator[Record]]:
@@ -117,7 +118,6 @@ class UnsortedStore:
             self.index.insert(key, table_id)
         for name in old_names:
             self._ctx.drop_table(name)
-        self._ctx.stats.scan_merges += 1
 
     # -- merge into SortedStore ---------------------------------------------------------
 

@@ -10,34 +10,29 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.engine.block import Block
+from repro.obs import MetricsRegistry
 
 
 class BlockCache:
     """Bounded (by decoded bytes) LRU map from (file, offset) to Block."""
 
     def __init__(self, capacity_bytes: int = 8 * 1024 * 1024,
-                 metrics=None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self.capacity_bytes = capacity_bytes
         self._entries: OrderedDict[tuple[str, int], tuple[Block, int]] = OrderedDict()
         self._used = 0
-        self.hits = 0
-        self.misses = 0
-        # Live counters (repro.obs); bound once so the hot path pays one
-        # attribute access, and a no-op when no registry is supplied.
-        if metrics is None:
-            from repro.obs import NULL_REGISTRY
-            metrics = NULL_REGISTRY
+        # Hit/miss counters live in the owner's registry (repro.obs), bound
+        # once so the hot path pays one attribute access.
+        metrics = metrics if metrics is not None else MetricsRegistry()
         self._hit_counter = metrics.counter("block_cache_hits_total")
         self._miss_counter = metrics.counter("block_cache_misses_total")
 
     def get(self, file_name: str, offset: int) -> Block | None:
         entry = self._entries.get((file_name, offset))
         if entry is None:
-            self.misses += 1
             self._miss_counter.inc()
             return None
         self._entries.move_to_end((file_name, offset))
-        self.hits += 1
         self._hit_counter.inc()
         return entry[0]
 

@@ -15,6 +15,7 @@ from collections import OrderedDict
 from repro.engine.block_cache import BlockCache
 from repro.engine.sstable import SSTableReader
 from repro.env.storage import SimulatedDisk
+from repro.obs import MetricsRegistry
 
 
 class TableCache:
@@ -22,17 +23,14 @@ class TableCache:
 
     def __init__(self, disk: SimulatedDisk, capacity: int = 16,
                  block_cache: BlockCache | None = None,
-                 open_tag: str = "table_open", metrics=None) -> None:
+                 open_tag: str = "table_open",
+                 metrics: MetricsRegistry | None = None) -> None:
         self._disk = disk
         self.capacity = max(1, capacity)
         self._block_cache = block_cache
         self._open_tag = open_tag
         self._lru: OrderedDict[str, SSTableReader] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        if metrics is None:
-            from repro.obs import NULL_REGISTRY
-            metrics = NULL_REGISTRY
+        metrics = metrics if metrics is not None else MetricsRegistry()
         self._hit_counter = metrics.counter("table_cache_hits_total")
         self._miss_counter = metrics.counter("table_cache_misses_total")
 
@@ -46,10 +44,8 @@ class TableCache:
         reader = self._lru.get(name)
         if reader is not None:
             self._lru.move_to_end(name)
-            self.hits += 1
             self._hit_counter.inc()
             return reader
-        self.misses += 1
         self._miss_counter.inc()
         reader = SSTableReader(self._disk, name, cache=self._block_cache,
                                open_tag=self._open_tag,

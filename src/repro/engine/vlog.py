@@ -22,6 +22,7 @@ from typing import Iterator
 
 from repro.engine.errors import CorruptionError
 from repro.env.storage import SimulatedDisk
+from repro.obs import MetricsRegistry
 
 _REC_HDR = struct.Struct("<III")
 _PTR = struct.Struct("<IIQI")
@@ -94,13 +95,12 @@ class VLogWriter:
 class VLogReader:
     """Random and sequential access to one value-log file."""
 
-    def __init__(self, disk: SimulatedDisk, name: str, metrics=None) -> None:
+    def __init__(self, disk: SimulatedDisk, name: str,
+                 metrics: MetricsRegistry | None = None) -> None:
         self._disk = disk
         self._file = disk.open(name)
         self.name = name
-        if metrics is None:
-            from repro.obs import NULL_REGISTRY
-            metrics = NULL_REGISTRY
+        metrics = metrics if metrics is not None else MetricsRegistry()
         self._read_counter = metrics.counter("vlog_reads_total")
         self._read_bytes = metrics.counter("vlog_read_bytes_total")
         self._scan_counter = metrics.counter("vlog_scans_total")

@@ -5,12 +5,11 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from repro.env.storage import SimulatedDisk
-from repro.runtime.scheduler import WriteStallStats
 
 _KB = 1024
 _MB = 1024 * 1024
 
-__all__ = ["KVStore", "LSMConfig", "WriteStallStats"]
+__all__ = ["KVStore", "LSMConfig"]
 
 
 class KVStore(abc.ABC):

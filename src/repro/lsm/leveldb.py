@@ -25,7 +25,7 @@ from repro.engine.table_cache import TableCache
 from repro.engine.wal import WalReader, WalWriter
 from repro.env.storage import SimulatedDisk
 from repro.core.manifest import Manifest, meta_from_json, meta_to_json
-from repro.lsm.base import KVStore, LSMConfig, WriteStallStats
+from repro.lsm.base import KVStore, LSMConfig
 from repro.lsm.version import LevelState
 from repro.runtime.scheduler import Job, MaintenanceScheduler
 
@@ -46,13 +46,6 @@ class LevelDBStore(KVStore):
         self.config = config if config is not None else LSMConfig()
         self._prefix = prefix
         self._state = LevelState(self.config.max_levels)
-        self._cache = BlockCache(self.config.block_cache_bytes)
-        self._tables = TableCache(self._disk, self.config.table_cache_size,
-                                  block_cache=self._cache)
-        self._mem = MemTable(seed=self.config.seed)
-        self._next_file = 0
-        self._next_wal = 0
-        self.stats = WriteStallStats()
         # A scheduler may be shared by an embedding store (WiscKey embeds a
         # LevelDBStore as its index) so one backpressure state governs both.
         self.scheduler = scheduler if scheduler is not None else \
@@ -61,8 +54,15 @@ class LevelDBStore(KVStore):
                 background_threads=self.config.background_threads,
                 slowdown_trigger=self.config.slowdown_trigger,
                 stop_trigger=self.config.stop_trigger,
-                slowdown_penalty_us=self.config.slowdown_penalty_us,
-                stats=self.stats)
+                slowdown_penalty_us=self.config.slowdown_penalty_us)
+        #: job, stall and cache counts (repro.obs), shared with the scheduler
+        self.metrics = self.scheduler.metrics
+        self._cache = BlockCache(self.config.block_cache_bytes, metrics=self.metrics)
+        self._tables = TableCache(self._disk, self.config.table_cache_size,
+                                  block_cache=self._cache, metrics=self.metrics)
+        self._mem = MemTable(seed=self.config.seed)
+        self._next_file = 0
+        self._next_wal = 0
         #: per-table access counters for the motivation experiment (E2);
         #: populated only while `record_accesses` is True
         self.record_accesses = False
@@ -166,7 +166,6 @@ class LevelDBStore(KVStore):
         meta = builder.finish()
         self._manifest.append({"type": "flush", "meta": meta_to_json(meta)})
         self._state.add_l0(meta)
-        self.stats.flushes += 1
         if self._wal is not None:
             old_wal = self._wal
             self._wal = self._new_wal()
@@ -248,7 +247,6 @@ class LevelDBStore(KVStore):
             sources.append(self._level_entries(next_inputs, tag="compaction"))
         # Tombstones can be dropped once nothing older can hold the key.
         at_bottom = target >= self._state.deepest_nonempty_level()
-        input_bytes = sum(f.file_size for f in inputs + next_inputs)
 
         outputs: list[TableMeta] = []
         builder: SSTableBuilder | None = None
@@ -275,9 +273,6 @@ class LevelDBStore(KVStore):
             self._state.add(target, meta)
         for stale in inputs + next_inputs:
             self._drop_file(stale.name)
-        self.stats.compactions += 1
-        self.stats.compaction_input_bytes += input_bytes
-        self.stats.compaction_output_bytes += sum(f.file_size for f in outputs)
 
     # -- recovery ----------------------------------------------------------------------
 

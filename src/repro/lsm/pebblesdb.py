@@ -26,7 +26,7 @@ from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta
 from repro.engine.table_cache import TableCache
 from repro.engine.wal import WalWriter
 from repro.env.storage import SimulatedDisk
-from repro.lsm.base import KVStore, LSMConfig, WriteStallStats
+from repro.lsm.base import KVStore, LSMConfig
 from repro.runtime.scheduler import Job, MaintenanceScheduler
 
 Record = tuple[bytes, int, bytes]
@@ -57,9 +57,17 @@ class PebblesDBStore(KVStore):
         self._disk = disk if disk is not None else SimulatedDisk()
         self.config = config if config is not None else LSMConfig()
         self._prefix = prefix
-        self._cache = BlockCache(self.config.block_cache_bytes)
+        self.scheduler = MaintenanceScheduler(
+            self._disk,
+            background_threads=self.config.background_threads,
+            slowdown_trigger=self.config.slowdown_trigger,
+            stop_trigger=self.config.stop_trigger,
+            slowdown_penalty_us=self.config.slowdown_penalty_us)
+        #: job, stall and cache counts (repro.obs), shared with the scheduler
+        self.metrics = self.scheduler.metrics
+        self._cache = BlockCache(self.config.block_cache_bytes, metrics=self.metrics)
         self._tables = TableCache(self._disk, self.config.table_cache_size,
-                                  block_cache=self._cache)
+                                  block_cache=self._cache, metrics=self.metrics)
         self._mem = MemTable(seed=self.config.seed)
         self._l0: list[TableMeta] = []  # newest first
         # levels[i] for i >= 1: guards sorted by key; first guard key is b"".
@@ -69,14 +77,6 @@ class PebblesDBStore(KVStore):
         self._next_file = 0
         self._next_wal = 0
         self._wal = self._new_wal()
-        self.stats = WriteStallStats()
-        self.scheduler = MaintenanceScheduler(
-            self._disk,
-            background_threads=self.config.background_threads,
-            slowdown_trigger=self.config.slowdown_trigger,
-            stop_trigger=self.config.stop_trigger,
-            slowdown_penalty_us=self.config.slowdown_penalty_us,
-            stats=self.stats)
 
     # -- public API ----------------------------------------------------------------
 
@@ -153,7 +153,6 @@ class PebblesDBStore(KVStore):
         for record in self._mem.entries():
             builder.add(*record)
         self._l0.insert(0, builder.finish())
-        self.stats.flushes += 1
         old_wal = self._wal
         self._wal = self._new_wal()
         old_wal.close()
@@ -186,8 +185,7 @@ class PebblesDBStore(KVStore):
         sources = [self._compaction_reader(f.name).entries(tag="compaction")
                    for f in inputs]
         merged = merge_sorted(sources, drop_tombstones=self._empty_below(0))
-        self._append_fragments(target_level=0, records=merged,
-                               input_bytes=sum(f.file_size for f in inputs))
+        self._append_fragments(target_level=0, records=merged)
         self._l0 = []
         for stale in inputs:
             self._drop_file(stale.name)
@@ -200,25 +198,23 @@ class PebblesDBStore(KVStore):
             return
         sources = [self._compaction_reader(f.name).entries(tag="compaction")
                    for f in inputs]
-        input_bytes = sum(f.file_size for f in inputs)
         # The deepest level holding data acts as the bottom: overflowing
         # guards there consolidate in place and split into new guards,
         # which is how the FLSM's guard population grows with the dataset.
         last_level = (level_index == len(self._levels) - 1
                       or self._empty_below(level_index + 1))
         if last_level:
-            self._consolidate_guard(level_index, guard, sources, input_bytes)
+            self._consolidate_guard(level_index, guard, sources)
         else:
             merged = merge_sorted(sources, drop_tombstones=self._empty_below(level_index + 1))
-            self._append_fragments(target_level=level_index + 1, records=merged,
-                                   input_bytes=input_bytes)
+            self._append_fragments(target_level=level_index + 1, records=merged)
             guard.files = []
             for stale in inputs:
                 self._drop_file(stale.name)
             self._cascade_overflows(level_index + 1)
 
     def _consolidate_guard(self, level_index: int, guard: _Guard,
-                           sources: list[Iterator[Record]], input_bytes: int) -> None:
+                           sources: list[Iterator[Record]]) -> None:
         """Bottom level: rewrite a guard as single-file guards (tombstones drop)."""
         outputs: list[TableMeta] = []
         builder: SSTableBuilder | None = None
@@ -244,25 +240,18 @@ class PebblesDBStore(KVStore):
         guards[slot:slot + 1] = replacements
         for f in stale:
             self._drop_file(f.name)
-        self.stats.compactions += 1
-        self.stats.compaction_input_bytes += input_bytes
-        self.stats.compaction_output_bytes += sum(f.file_size for f in outputs)
 
-    def _append_fragments(self, target_level: int, records: Iterator[Record],
-                          input_bytes: int) -> None:
+    def _append_fragments(self, target_level: int, records: Iterator[Record]) -> None:
         """Cut a merged record stream at guard boundaries of ``target_level``."""
         guards = self._levels[target_level]
         boundaries = [g.key for g in guards[1:]]
         builder: SSTableBuilder | None = None
         guard_of_builder = 0
-        output_bytes = 0
 
         def finish() -> None:
-            nonlocal builder, output_bytes
+            nonlocal builder
             if builder is not None and builder.num_entries:
-                meta = builder.finish()
-                guards[guard_of_builder].files.insert(0, meta)
-                output_bytes += meta.file_size
+                guards[guard_of_builder].files.insert(0, builder.finish())
             builder = None
 
         # One fragment file per guard (cut at guard boundaries only): this is
@@ -278,9 +267,6 @@ class PebblesDBStore(KVStore):
                 guard_of_builder = gi
             builder.add(key, kind, value)
         finish()
-        self.stats.compactions += 1
-        self.stats.compaction_input_bytes += input_bytes
-        self.stats.compaction_output_bytes += output_bytes
 
     def _cascade_overflows(self, level_index: int) -> None:
         for li in range(level_index, len(self._levels)):

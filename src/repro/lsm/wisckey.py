@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from repro.engine.vlog import ValuePointer, VLogReader, VLogWriter
 from repro.env.storage import SimulatedDisk
-from repro.lsm.base import KVStore, LSMConfig, WriteStallStats
+from repro.lsm.base import KVStore, LSMConfig
 from repro.lsm.leveldb import LevelDBStore
 from repro.runtime.scheduler import Job, MaintenanceScheduler
 
@@ -46,7 +46,6 @@ class WiscKeyStore(KVStore):
         self._disk = disk if disk is not None else SimulatedDisk()
         self.config = config if config is not None else WiscKeyConfig()
         self._prefix = prefix
-        self.stats = WriteStallStats()
         # One scheduler (and thus one backpressure state) for the value-log
         # GC and the embedded index LSM's flush/compaction jobs.
         self.scheduler = MaintenanceScheduler(
@@ -54,8 +53,9 @@ class WiscKeyStore(KVStore):
             background_threads=self.config.background_threads,
             slowdown_trigger=self.config.slowdown_trigger,
             stop_trigger=self.config.stop_trigger,
-            slowdown_penalty_us=self.config.slowdown_penalty_us,
-            stats=self.stats)
+            slowdown_penalty_us=self.config.slowdown_penalty_us)
+        #: job, stall, cache and value-log counts (repro.obs)
+        self.metrics = self.scheduler.metrics
         index_config = replace(self.config, wal_enabled=False)
         self._index = LevelDBStore(self._disk, config=index_config,
                                    prefix=f"{prefix}idx-",
@@ -64,7 +64,6 @@ class WiscKeyStore(KVStore):
         self._next_log = 0
         self._head: VLogWriter | None = None
         self._readers: dict[int, VLogReader] = {}
-        self.gc_runs = 0
         self.gc_relocated_values = 0
         self._roll_head()
 
@@ -122,7 +121,8 @@ class WiscKeyStore(KVStore):
     def _vlog_reader(self, log_number: int) -> VLogReader:
         reader = self._readers.get(log_number)
         if reader is None:
-            reader = VLogReader(self._disk, self._segment_name(log_number))
+            reader = VLogReader(self._disk, self._segment_name(log_number),
+                                metrics=self.metrics)
             self._readers[log_number] = reader
         return reader
 
@@ -172,7 +172,6 @@ class WiscKeyStore(KVStore):
                 self._roll_head()
         self._readers.pop(tail, None)
         self._disk.delete(self._segment_name(tail))
-        self.gc_runs += 1
 
     # -- introspection ------------------------------------------------------------------
 

@@ -9,11 +9,14 @@ Prometheus-style; snapshots are plain JSON-able structures that merge
 exactly (counter/gauge addition, bucket-wise histogram merge), which is
 how the shard router aggregates per-shard registries into one STATS view.
 
-**The disabled path.**  :data:`NULL_REGISTRY` (a :class:`NullRegistry`)
-implements the same surface as no-ops and ``enabled = False`` so hot paths
-can skip even the clock reads.  Nothing in this module ever touches the
-simulated device or mutates store state, so store behaviour is
-bit-identical with metrics on, off, or absent — the equivalence test suite
+**Always real.**  Every count a store, scheduler, cache, value log or
+server keeps lives in a registry — there is no separate stats struct and
+no no-op registry.  Components bind their metric objects once at
+construction, so a hot-path increment is one attribute access.  A
+store's ``config.metrics_enabled`` gates only its per-operation span
+clock reads (``unikv_op_seconds``).  Nothing in this module ever touches
+the simulated device or mutates store state, so store behaviour is
+bit-identical with spans on or off — the equivalence test suite
 (``tests/test_obs_equivalence.py``) pins that guarantee.
 
 **Clocks.**  ``registry.clock`` is any zero-argument callable returning
@@ -38,7 +41,7 @@ LabelKey = tuple[str, tuple[tuple[str, str], ...]]
 
 
 class Counter:
-    """Monotonic counter (float increments allowed, e.g. stall seconds)."""
+    """Monotonic counter (float increments allowed)."""
 
     __slots__ = ("value",)
 
@@ -69,8 +72,6 @@ class Gauge:
 
 class MetricsRegistry:
     """Names + labels -> live metric objects, with snapshot/merge/export."""
-
-    enabled = True
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         #: span clock; components with a virtual clock override this
@@ -140,72 +141,6 @@ class MetricsRegistry:
         return snapshot_to_prometheus(self.snapshot(quantiles))
 
 
-class _NullMetric:
-    """Accepts every mutation and does nothing."""
-
-    __slots__ = ()
-    value = 0
-
-    def inc(self, n=1) -> None:
-        pass
-
-    def dec(self, n=1) -> None:
-        pass
-
-    def set(self, value) -> None:
-        pass
-
-    def record(self, value, n=1) -> None:
-        pass
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullRegistry:
-    """No-op registry: same surface, zero state, ``enabled = False``.
-
-    Hot paths guard their span-clock reads on ``registry.enabled``, so the
-    disabled mode costs one attribute read per operation; and because no
-    registry ever performs I/O, store behaviour is bit-identical either
-    way (proven by the equivalence tests).
-    """
-
-    enabled = False
-
-    @staticmethod
-    def clock() -> float:
-        return 0.0
-
-    def counter(self, name: str, **labels: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, **labels: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str,
-                  relative_error: float = DEFAULT_RELATIVE_ERROR,
-                  **labels: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def snapshot(self, quantiles: tuple[float, ...] = DEFAULT_QUANTILES) -> dict:
-        return {"counters": [], "gauges": [], "histograms": []}
-
-    def to_prometheus(self,
-                      quantiles: tuple[float, ...] = DEFAULT_QUANTILES) -> str:
-        return ""
-
-
-#: shared no-op instance; safe to share because it holds no state
-NULL_REGISTRY = NullRegistry()
-
-
-def registry_for(enabled: bool,
-                 clock: Callable[[], float] | None = None):
-    """A fresh real registry, or the shared null one."""
-    return MetricsRegistry(clock=clock) if enabled else NULL_REGISTRY
-
-
 # -- snapshot algebra -------------------------------------------------------------------
 
 
@@ -217,8 +152,10 @@ def merge_snapshots(snapshots: list[dict],
                     quantiles: tuple[float, ...] = DEFAULT_QUANTILES) -> dict:
     """Aggregate registry snapshots (e.g. one per shard) into one.
 
-    Counters and gauges with equal (name, labels) are summed; histograms
-    are merged bucket-wise and their quantiles recomputed from the merged
+    Counters and gauges with equal (name, labels) are summed, except
+    ``*_high_water`` gauges, which take the max (a deployment's high-water
+    mark is its busiest shard's, not their total); histograms are merged
+    bucket-wise and their quantiles recomputed from the merged
     distribution — the aggregation the shard router applies for STATS.
     """
     counters: dict[LabelKey, dict] = {}
@@ -236,7 +173,11 @@ def merge_snapshots(snapshots: list[dict],
         for entry in snap.get("gauges", ()):
             key = _entry_key(entry)
             if key in gauges:
-                gauges[key]["value"] += entry["value"]
+                merged = gauges[key]
+                if entry["name"].endswith("_high_water"):
+                    merged["value"] = max(merged["value"], entry["value"])
+                else:
+                    merged["value"] += entry["value"]
             else:
                 gauges[key] = {"name": entry["name"],
                                "labels": dict(entry["labels"]),

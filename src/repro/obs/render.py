@@ -1,9 +1,10 @@
 """Human-readable rendering of a STATS payload (``python -m repro stats``).
 
-The server's STATS response carries the router's counter aggregation plus
-two registry snapshots under ``"obs"``: the per-shard store registries
-merged by the router (modelled latencies on the virtual clock) and the
-server's own wall-clocked registry.  This module turns that JSON into the
+The server's STATS response carries the per-shard and aggregate store
+views and the server's counters (all read off registry snapshots by
+:mod:`repro.obs.view`), plus two registry snapshots under ``"obs"``: the
+per-shard store registries merged by the router (modelled latencies on the
+virtual clock) and the server's own wall-clocked registry.  This module turns that JSON into the
 terminal summary the CLI prints, and the compact periodic dump the server
 emits with ``--stats-interval``.
 """
@@ -11,6 +12,7 @@ emits with ``--stats-interval``.
 from __future__ import annotations
 
 from repro.obs.histogram import LogHistogram
+from repro.obs.view import counter_total
 
 _LATENCY_QS = (("p50", 0.5), ("p95", 0.95), ("p99", 0.99))
 
@@ -18,15 +20,6 @@ _LATENCY_QS = (("p50", 0.5), ("p95", 0.95), ("p99", 0.99))
 def _hist_entries(snapshot: dict, name: str) -> list[dict]:
     return [entry for entry in snapshot.get("histograms", ())
             if entry["name"] == name]
-
-
-def _counter_value(snapshot: dict, name: str, **labels: str) -> float:
-    total = 0
-    for entry in snapshot.get("counters", ()):
-        if entry["name"] == name and all(
-                entry["labels"].get(k) == v for k, v in labels.items()):
-            total += entry["value"]
-    return total
 
 
 def _merged_by_label(entries: list[dict], label: str) -> dict[str, LogHistogram]:
@@ -100,15 +93,15 @@ def render_stats(payload: dict) -> str:
                          for kind in sorted(job_counts))
         lines.append(f"maintenance jobs: {jobs}")
 
-    hits = _counter_value(stores, "block_cache_hits_total")
-    misses = _counter_value(stores, "block_cache_misses_total")
+    hits = counter_total(stores, "block_cache_hits_total")
+    misses = counter_total(stores, "block_cache_misses_total")
     if hits or misses:
         lines.append(f"block cache: {hits} hits / {misses} misses "
                      f"({100.0 * hits / (hits + misses):.1f}% hit rate)")
-    vlog_reads = _counter_value(stores, "vlog_reads_total")
+    vlog_reads = counter_total(stores, "vlog_reads_total")
     if vlog_reads:
         lines.append(f"vlog point reads: {vlog_reads} "
-                     f"({_counter_value(stores, 'vlog_read_bytes_total')} bytes)")
+                     f"({counter_total(stores, 'vlog_read_bytes_total')} bytes)")
     delayed = server.get("delayed_writes", 0)
     shed = server.get("shed_writes", 0)
     if delayed or shed:

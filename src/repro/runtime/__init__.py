@@ -9,10 +9,9 @@ overlapped on a fixed number of background lanes with RocksDB-style
 slowdown/stop backpressure stalls injected into the foreground path.
 """
 
-from repro.runtime.scheduler import Job, MaintenanceScheduler, WriteStallStats
+from repro.runtime.scheduler import Job, MaintenanceScheduler
 
 __all__ = [
     "Job",
     "MaintenanceScheduler",
-    "WriteStallStats",
 ]

@@ -27,61 +27,25 @@ virtualizes is the *device-time accounting*:
 The clock is O(1) to read: the disk's :class:`~repro.env.iostats.IOStats`
 keeps a running total of modelled device seconds, priced as each I/O
 lands, and ``background_io`` keeps the background share of it.
+
+Job and stall accounting lives in the scheduler's metrics registry and
+nowhere else: ``maintenance_job_seconds{kind}`` (count = jobs run, sum =
+their modelled seconds), ``write_stall_seconds`` (count = stall events,
+sum = injected seconds, which the clock reads), ``write_stalls_total``
+``{type,cause}`` and the ``maintenance_queue_depth_high_water`` gauge.
+:meth:`MaintenanceScheduler.describe` reads them back through
+:func:`~repro.obs.view.write_stall_view`.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.env.iostats import IOStats
 from repro.env.storage import SimulatedDisk
-
-
-@dataclass
-class WriteStallStats:
-    """Maintenance bookkeeping: legacy per-engine counters plus the
-    scheduler's job and stall accounting.
-
-    One instance is shared between an engine (which bumps the legacy
-    ``flushes``/``compactions``/... counters from its job bodies, as it
-    always has) and the engine's scheduler (which fills in the job/stall
-    fields), so reports read one object.
-    """
-
-    flushes: int = 0
-    compactions: int = 0
-    compaction_input_bytes: int = 0
-    compaction_output_bytes: int = 0
-    gc_runs: int = 0
-    #: foreground seconds injected by slowdown/stop backpressure
-    stall_seconds: float = 0.0
-    stall_events: int = 0
-    #: most background jobs ever simultaneously in flight
-    queue_depth_high_water: int = 0
-    #: executed jobs per job kind ("flush", "merge", "compaction", ...)
-    job_counts: dict[str, int] = field(default_factory=dict)
-    #: modelled device seconds per job kind
-    job_seconds: dict[str, float] = field(default_factory=dict)
-    #: stall events attributed by cause: "<slowdown|stop>:<job kind>" of
-    #: the submission that pushed the background queue over the trigger
-    stall_causes: dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "flushes": self.flushes,
-            "compactions": self.compactions,
-            "compaction_input_bytes": self.compaction_input_bytes,
-            "compaction_output_bytes": self.compaction_output_bytes,
-            "gc_runs": self.gc_runs,
-            "stall_seconds": self.stall_seconds,
-            "stall_events": self.stall_events,
-            "queue_depth_high_water": self.queue_depth_high_water,
-            "job_counts": dict(self.job_counts),
-            "job_seconds": dict(self.job_seconds),
-            "stall_causes": dict(self.stall_causes),
-        }
+from repro.obs import Counter, LogHistogram, MetricsRegistry, write_stall_view
 
 
 @dataclass
@@ -115,20 +79,21 @@ class MaintenanceScheduler:
     def __init__(self, disk: SimulatedDisk, background_threads: int = 0,
                  slowdown_trigger: int = 4, stop_trigger: int = 8,
                  slowdown_penalty_us: float = 200.0,
-                 stats: WriteStallStats | None = None,
-                 metrics=None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self._disk = disk
         self.background_threads = int(background_threads)
         self.slowdown_trigger = slowdown_trigger
         self.stop_trigger = stop_trigger
         self.slowdown_penalty_us = slowdown_penalty_us
-        self.stats = stats if stats is not None else WriteStallStats()
-        if metrics is None:
-            from repro.obs import NULL_REGISTRY
-            metrics = NULL_REGISTRY
-        #: live observability registry (repro.obs); never does I/O, so
-        #: scheduling behaviour is identical with or without it
-        self.metrics = metrics
+        #: where the job and stall counts live (the store's registry, or
+        #: a private one); never does I/O, so scheduling is unaffected
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: foreground stalls injected by backpressure: count = stall
+        #: events, sum = stall seconds (part of the virtual clock)
+        self.stalls = self.metrics.histogram("write_stall_seconds")
+        self._queue_high_water = self.metrics.gauge("maintenance_queue_depth_high_water")
+        self._job_seconds: dict[str, LogHistogram] = {}
+        self._stall_counters: dict[tuple[str, str], Counter] = {}
         #: I/O already attributed to background lanes (subtracted from the
         #: disk totals to obtain the foreground-only counters); its
         #: ``seconds`` is the background share of the disk's running total
@@ -154,7 +119,7 @@ class MaintenanceScheduler:
         O(1): both device terms are running totals kept as I/O lands.
         """
         return (self._disk.stats.seconds - self.background_io.seconds
-                + self.stats.stall_seconds)
+                + self.stalls.sum)
 
     def backlog_seconds(self) -> float:
         """How far the busiest background lane runs past the clock."""
@@ -192,13 +157,11 @@ class MaintenanceScheduler:
         # background is not this job's own traffic.
         job.duration_seconds = ((disk_io.seconds - disk_start)
                                 - (background_io.seconds - nested_start))
-        self.stats.job_counts[job.kind] = self.stats.job_counts.get(job.kind, 0) + 1
-        self.stats.job_seconds[job.kind] = (
-            self.stats.job_seconds.get(job.kind, 0.0) + job.duration_seconds)
-        if self.metrics.enabled:
-            self.metrics.histogram(
-                "maintenance_job_seconds", kind=job.kind).record(
-                    job.duration_seconds)
+        hist = self._job_seconds.get(job.kind)
+        if hist is None:
+            hist = self._job_seconds[job.kind] = self.metrics.histogram(
+                "maintenance_job_seconds", kind=job.kind)
+        hist.record(job.duration_seconds)
         if self.overlapped:
             # Same arithmetic as the duration above, so own.seconds equals it.
             own = disk_io.delta_since(before).delta_since(
@@ -225,8 +188,8 @@ class MaintenanceScheduler:
     def _apply_backpressure(self, clock: float, cause: str) -> None:
         self._prune_finished(clock)
         depth = len(self._inflight)
-        if depth > self.stats.queue_depth_high_water:
-            self.stats.queue_depth_high_water = depth
+        if depth > self._queue_high_water.value:
+            self._queue_high_water.set(depth)
         stall = 0.0
         kind = ""
         if depth >= self.stop_trigger:
@@ -243,25 +206,20 @@ class MaintenanceScheduler:
             stall = excess * self.slowdown_penalty_us * 1e-6
             kind = "slowdown"
         if stall > 0.0:
-            self.stats.stall_seconds += stall
-            self.stats.stall_events += 1
+            self.stalls.record(stall)
             # Attribution: the stall is charged to the job whose submission
             # pushed the queue over the trigger — the cause a tail-latency
             # investigation needs, not just "a stall happened".
-            cause_key = f"{kind}:{cause}"
-            self.stats.stall_causes[cause_key] = (
-                self.stats.stall_causes.get(cause_key, 0) + 1)
-            if self.metrics.enabled:
-                self.metrics.counter("write_stalls_total",
-                                     type=kind, cause=cause).inc()
-                self.metrics.counter("write_stall_seconds_total").inc(stall)
-                self.metrics.histogram("write_stall_seconds").record(stall)
+            counter = self._stall_counters.get((kind, cause))
+            if counter is None:
+                counter = self._stall_counters[kind, cause] = self.metrics.counter(
+                    "write_stalls_total", type=kind, cause=cause)
+            counter.inc()
 
     # -- introspection ----------------------------------------------------------------
 
     def describe(self) -> dict:
-        out = self.stats.as_dict()
-        out["background_threads"] = self.background_threads
-        out["queue_depth"] = self.queue_depth()
-        out["backlog_seconds"] = self.backlog_seconds()
-        return out
+        return {**write_stall_view(self.metrics.snapshot()),
+                "background_threads": self.background_threads,
+                "queue_depth": self.queue_depth(),
+                "backlog_seconds": self.backlog_seconds()}

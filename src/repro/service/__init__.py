@@ -11,7 +11,7 @@ can drive over a connection, one modular layer at a time:
   for its partitions;
 * :mod:`repro.service.handler` — the sans-IO request handler (shared
   with the chaos simulator) with write admission control driven by each
-  shard's :class:`~repro.runtime.scheduler.WriteStallStats`;
+  shard scheduler's stall count;
 * :mod:`repro.service.server` — its :class:`asyncio` TCP transport, with
   per-connection pipelining and graceful drain on shutdown;
 * :mod:`repro.service.client` — sync and async clients with connection

@@ -21,30 +21,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.env.storage import DiskCrashed
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, server_view
 from repro.service import protocol
 from repro.service.protocol import MAX_FRAME_BYTES, FrameTooLarge, Op, ProtocolError, Status
 from repro.service.router import ShardPressure, ShardRouter
 
 _U32 = struct.Struct("<I")
-
-
-@dataclass
-class ServerStats:
-    """Counters the server reports inside STATS responses."""
-
-    connections: int = 0
-    requests: int = 0
-    delayed_writes: int = 0
-    shed_writes: int = 0
-    too_large_frames: int = 0
-    bad_requests: int = 0
-    errors: int = 0
-    #: the part of ``errors`` answered RETRY because a shard device crashed
-    crashed_rejections: int = 0
-
-    def as_dict(self) -> dict:
-        return self.__dict__.copy()
 
 
 @dataclass
@@ -82,10 +64,20 @@ class RequestHandler:
         self.max_delay_s = max_delay_s
         self.max_consecutive_sheds = max_consecutive_sheds
         self.max_scan_items = max_scan_items
-        self.stats = ServerStats()
         #: wall clock (perf_counter), unlike the stores' registries which
-        #: run on the schedulers' virtual clocks
-        self.metrics = MetricsRegistry()
+        #: run on the schedulers' virtual clocks.  STATS ``server`` is its
+        #: ``server_<key>_total`` counters (:func:`repro.obs.server_view`).
+        self.metrics = metrics = MetricsRegistry()
+        self._connections_total = metrics.counter("server_connections_total")
+        self._requests = metrics.counter("server_requests_total")
+        self._delayed_writes = metrics.counter("server_delayed_writes_total")
+        self._shed_writes = metrics.counter("server_shed_writes_total")
+        self._too_large_frames = metrics.counter("server_too_large_frames_total")
+        self._bad_requests = metrics.counter("server_bad_requests_total")
+        self._errors = metrics.counter("server_errors_total")
+        #: the part of ``errors`` answered RETRY because a shard device crashed
+        self._crashed_rejections = metrics.counter("server_crashed_rejections_total")
+        self._inflight_high_water = metrics.gauge("server_inflight_requests_high_water")
         #: per-shard stall_events watermark from the last write admission
         self._stall_marks: dict[int, int] = {}
         self._inflight = 0
@@ -98,9 +90,8 @@ class RequestHandler:
         pause."""
         start = self.metrics.clock()
         self._inflight += 1
-        depth = self.metrics.gauge("server_inflight_requests_high_water")
-        if self._inflight > depth.value:
-            depth.set(self._inflight)
+        if self._inflight > self._inflight_high_water.value:
+            self._inflight_high_water.set(self._inflight)
         op_name, reply = self._dispatch(item, session)
         if isinstance(reply, Delayed):
             return Delayed(reply.pause_s, lambda: self._finish(
@@ -115,18 +106,17 @@ class RequestHandler:
         return reply.apply() if isinstance(reply, Delayed) else reply
 
     def stats_payload(self) -> dict:
-        """The full STATS response body: legacy counters plus obs snapshots.
+        """The full STATS response body: views plus obs snapshots.
 
-        ``obs.stores`` is the shard-merged store registry view (histograms
-        merged bucket-wise, quantiles recomputed); ``obs.server`` is this
-        handler's own wall-clocked registry.
+        ``shards``/``aggregate`` are the router's store views, ``server``
+        this handler's counters; ``obs.stores`` is the shard-merged store
+        registry snapshot (histograms merged bucket-wise, quantiles
+        recomputed) and ``obs.server`` this handler's own wall-clocked one.
         """
         stats = self.router.stats()
-        stats["server"] = self.stats.as_dict()
-        stats["obs"] = {
-            "server": self.metrics.snapshot(),
-            "stores": self.router.metrics_snapshot(),
-        }
+        server = self.metrics.snapshot()
+        stats["server"] = server_view(server)
+        stats["obs"] = {"server": server, "stores": self.router.metrics_snapshot()}
         return stats
 
     # -- internals --------------------------------------------------------------------
@@ -140,9 +130,9 @@ class RequestHandler:
     def _dispatch(self, item: bytes | FrameTooLarge,
                   session: Session) -> tuple[str, bytes | Delayed]:
         """(op label for metrics, response or delayed write)."""
-        self.stats.requests += 1
+        self._requests.inc()
         if isinstance(item, FrameTooLarge):
-            self.stats.too_large_frames += 1
+            self._too_large_frames.inc()
             return "invalid", protocol.encode_response(
                 Status.TOO_LARGE,
                 b"frame of %d bytes exceeds limit %d"
@@ -150,7 +140,7 @@ class RequestHandler:
         try:
             request = protocol.decode_request(item)
         except ProtocolError as exc:
-            self.stats.bad_requests += 1
+            self._bad_requests.inc()
             return "invalid", protocol.encode_response(
                 Status.BAD_REQUEST, str(exc).encode())
         return request.op.name.lower(), self._guarded(
@@ -165,12 +155,12 @@ class RequestHandler:
             # the client's point of view — the operator (or chaos harness)
             # recovers the shard and re-attaches it — so steer the client
             # to its retry path rather than reporting a hard error.
-            self.stats.errors += 1
-            self.stats.crashed_rejections += 1
+            self._errors.inc()
+            self._crashed_rejections.inc()
             return protocol.encode_response(
                 Status.RETRY, f"shard device crashed: {exc}".encode())
         except Exception as exc:  # a failing request must not kill the stream
-            self.stats.errors += 1
+            self._errors.inc()
             return protocol.encode_response(
                 Status.ERROR, f"{type(exc).__name__}: {exc}".encode())
 
@@ -209,14 +199,14 @@ class RequestHandler:
         if (self.admission == "shed"
                 and session.consecutive_sheds < self.max_consecutive_sheds):
             session.consecutive_sheds += 1
-            self.stats.shed_writes += 1
+            self._shed_writes.inc()
             return protocol.encode_response(
                 Status.RETRY,
                 b"shard %d backpressure (%d new stall events, %d jobs in flight)"
                 % (pressure.shard, severity, pressure.queue_depth))
         # Delay, never drop: a bounded pause scaled by how much stall
         # pressure the shard reported since the last admission.
-        self.stats.delayed_writes += 1
+        self._delayed_writes.inc()
         session.consecutive_sheds = 0
         return Delayed(min(self.max_delay_s, self.slowdown_delay_s * severity),
                        lambda: self._write(request))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.core.config import UniKVConfig
 from repro.core.store import UniKV
-from repro.obs import merge_snapshots
+from repro.obs import core_view, merge_snapshots, write_stall_view
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class ShardPressure:
     """Snapshot of one shard's maintenance backpressure.
 
     ``queue_depth`` is the *instantaneous* in-flight background job count;
-    ``stall_events``/``stall_seconds`` are the scheduler's cumulative
-    :class:`~repro.runtime.scheduler.WriteStallStats` counters — the
+    ``stall_events``/``stall_seconds`` are the count and sum of the
+    scheduler's cumulative ``write_stall_seconds`` histogram — the
     durable record that slowdown/stop backpressure fired.  Admission
     control diffs the cumulative counters between probes (on the virtual
     clock, depth>0 windows can be shorter than one request gap, but every
@@ -200,8 +200,8 @@ class ShardRouter:
             shard=shard_index,
             queue_depth=scheduler.queue_depth(),
             backlog_seconds=scheduler.backlog_seconds(),
-            stall_events=scheduler.stats.stall_events,
-            stall_seconds=scheduler.stats.stall_seconds,
+            stall_events=scheduler.stalls.count,
+            stall_seconds=scheduler.stalls.sum,
             slowdown_trigger=scheduler.slowdown_trigger,
             stop_trigger=scheduler.stop_trigger,
         )
@@ -209,17 +209,20 @@ class ShardRouter:
     # -- aggregation ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Per-shard and summed stats (core counters + WriteStallStats)."""
-        shards = []
-        for i, store in enumerate(self.stores):
-            shards.append({
-                "shard": i,
-                "lower": self._lowers[i].hex(),
-                "partitions": store.num_partitions(),
-                "core": store.stats.as_dict(),
-                "write_stall": store.scheduler.stats.as_dict(),
-            })
-        return {"shards": shards, "aggregate": _aggregate(shards)}
+        """Per-shard and aggregate ``core``/``write_stall`` views: each
+        shard's registry snapshot, and :func:`merge_snapshots` of them all,
+        read through the same :mod:`repro.obs.view` functions."""
+        snapshots = [store.metrics_snapshot() for store in self.stores]
+        shards = [{
+            "shard": i,
+            "lower": self._lowers[i].hex(),
+            "partitions": store.num_partitions(),
+            **_store_view(snapshot),
+        } for i, (store, snapshot) in enumerate(zip(self.stores, snapshots))]
+        return {"shards": shards, "aggregate": {
+            "partitions": sum(store.num_partitions() for store in self.stores),
+            **_store_view(merge_snapshots(snapshots)),
+        }}
 
     def metrics_snapshot(self) -> dict:
         """One obs snapshot for the whole deployment.
@@ -249,22 +252,5 @@ def replace_config(config: UniKVConfig | None) -> UniKVConfig:
     return UniKVConfig(**config.__dict__)
 
 
-def _aggregate(shards: list[dict]) -> dict:
-    """Sum the numeric leaves of per-shard stat dicts (dicts recurse),
-    except high-water marks, which take the max."""
-    out: dict = {"partitions": 0, "core": {}, "write_stall": {}}
-    for entry in shards:
-        out["partitions"] += entry["partitions"]
-        _merge_sums(out["core"], entry["core"])
-        _merge_sums(out["write_stall"], entry["write_stall"])
-    return out
-
-
-def _merge_sums(acc: dict, delta: dict) -> None:
-    for key, value in delta.items():
-        if isinstance(value, dict):
-            _merge_sums(acc.setdefault(key, {}), value)
-        elif key.endswith("_high_water"):  # a high-water mark: max, not sum
-            acc[key] = max(acc.get(key, 0), value)
-        else:
-            acc[key] = acc.get(key, 0) + value
+def _store_view(snapshot: dict) -> dict:
+    return {"core": core_view(snapshot), "write_stall": write_stall_view(snapshot)}

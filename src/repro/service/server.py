@@ -27,8 +27,9 @@ import contextlib
 import signal
 
 from repro.core.config import UniKVConfig
+from repro.obs import server_view
 from repro.obs.render import render_periodic_dump
-from repro.service.handler import Delayed, RequestHandler, ServerStats, Session
+from repro.service.handler import Delayed, RequestHandler, Session
 from repro.service.protocol import MAX_FRAME_BYTES, FrameDecoder, FrameTooLarge
 from repro.service.router import ShardRouter
 
@@ -95,7 +96,7 @@ class KVServer(RequestHandler):
         if self._stopped:
             _stop_reading(reader, writer)
         session = Session()
-        self.stats.connections += 1
+        self._connections_total.inc()
         decoder = FrameDecoder(self.max_frame_bytes)
         try:
             while True:
@@ -156,7 +157,7 @@ async def run_server(num_shards: int = 2, host: str = "127.0.0.1",
                      admission: str = "delay",
                      stats_interval: float = 0.0,
                      ready: asyncio.Event | None = None,
-                     server_ref: list | None = None) -> ServerStats:
+                     server_ref: list | None = None) -> None:
     """Serve until SIGINT/SIGTERM (or cancellation), then drain gracefully.
 
     ``stats_interval > 0`` prints a compact metrics line every that many
@@ -189,6 +190,5 @@ async def run_server(num_shards: int = 2, host: str = "127.0.0.1",
             with contextlib.suppress(asyncio.CancelledError):
                 await dump_task
         await server.stop()
-        print(f"repro-kv: shutdown complete "
-              f"({server.stats.requests} requests served)", flush=True)
-    return server.stats
+        requests = server_view(server.metrics.snapshot())["requests"]
+        print(f"repro-kv: shutdown complete ({requests} requests served)", flush=True)

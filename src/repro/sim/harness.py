@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.core.config import UniKVConfig
 from repro.core.store import UniKV
 from repro.env.storage import SimulatedDisk
+from repro.obs import server_view
 from repro.service import protocol
 from repro.service.handler import RequestHandler, Session
 from repro.service.protocol import Status
@@ -376,6 +377,7 @@ class SimHarness:
 
         final_state = self._read_final_state()
         violations = check(self.history, final_state)
+        server = server_view(self.handler.metrics.snapshot())
         return SimResult(
             seed=self.seed,
             violations=violations,
@@ -384,9 +386,9 @@ class SimHarness:
             final_keys=len(final_state),
             crashes=self.crashes,
             recoveries=self.recoveries,
-            server_requests=self.handler.stats.requests,
-            server_errors=self.handler.stats.errors,
-            crashed_rejections=self.handler.stats.crashed_rejections,
+            server_requests=server["requests"],
+            server_errors=server["errors"],
+            crashed_rejections=server["crashed_rejections"],
             timeouts=sum(c.timeouts for c in self.clients),
             retry_responses=sum(c.retry_responses for c in self.clients),
             transport=self._transport_stats(),

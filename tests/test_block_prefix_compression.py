@@ -93,7 +93,7 @@ def test_unikv_end_to_end_with_compression():
     for i in range(1500):
         db.put(f"user:account:{i:06d}".encode(), b"v" * 30)
     db.flush()
-    assert db.stats.merges > 0
+    assert db.stats["merges"] > 0
     for i in range(0, 1500, 53):
         assert db.get(f"user:account:{i:06d}".encode()) == b"v" * 30
     db2 = UniKV(disk=db.disk.clone(), config=cfg)

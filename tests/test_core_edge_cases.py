@@ -13,7 +13,7 @@ def test_empty_store_operations(tiny_config):
     assert db.get(b"anything") is None
     assert db.scan(b"", 5) == []
     db.flush()  # flushing nothing is a no-op
-    assert db.stats.flushes == 0
+    assert db.stats["flushes"] == 0
 
 
 def test_empty_key_is_valid(tiny_config):

@@ -45,7 +45,7 @@ def test_values_survive_flush_merge_gc(tiny_config):
         db.put(f"key-{i:05d}".encode(), f"value-{i}".encode() * 3)
     db.flush()
     stats = db.stats
-    assert stats.flushes > 0 and stats.merges > 0
+    assert stats["flushes"] > 0 and stats["merges"] > 0
     for i in range(n):
         assert db.get(f"key-{i:05d}".encode()) == f"value-{i}".encode() * 3
 
@@ -56,7 +56,7 @@ def test_updates_trigger_gc_and_stay_correct(tiny_config):
         for i in range(120):
             db.put(f"key-{i:04d}".encode(), f"r{round_no:02d}".encode() * 8)
     db.flush()
-    assert db.stats.gc_runs > 0
+    assert db.stats["gc_runs"] > 0
     for i in range(120):
         assert db.get(f"key-{i:04d}".encode()) == b"r11" * 8
 
@@ -66,7 +66,7 @@ def test_partition_split_occurs_and_routing_is_correct(tiny_config):
     for i in range(2500):
         db.put(f"key-{i:06d}".encode(), b"v" * 24)
     db.flush()
-    assert db.stats.splits >= 1
+    assert db.stats["splits"] >= 1
     assert db.num_partitions() >= 2
     lowers = [p.lower for p in db.partitions]
     assert lowers == sorted(lowers)
@@ -171,7 +171,7 @@ def test_scan_merge_consolidates_unsorted_store(tiny_config):
     for i in range(300):
         db.put(f"key-{i:04d}".encode(), b"v" * 10)
     db.flush()
-    assert db.stats.scan_merges > 0
+    assert db.stats["scan_merges"] > 0
     for p in db.partitions:
         assert p.unsorted.num_tables <= db.config.scan_merge_limit
 
@@ -234,7 +234,7 @@ def test_large_random_workload_against_model():
             db.put(key, value)
             model[key] = value
     db.flush()
-    assert db.stats.merges > 0 and db.stats.gc_runs > 0 and db.stats.splits > 0
+    assert db.stats["merges"] > 0 and db.stats["gc_runs"] > 0 and db.stats["splits"] > 0
     for key, value in model.items():
         assert db.get(key) == value
     for probe in (b"", b"key-00350", b"key-00699"):

@@ -7,6 +7,7 @@ from repro.engine import BloomFilter, BlockCache
 from repro.engine.block import Block, BlockBuilder
 from repro.engine.iterators import clip_range, merge_sorted
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
+from repro.obs import MetricsRegistry
 
 
 # -- bloom ----------------------------------------------------------------------
@@ -55,12 +56,14 @@ def _block(n):
 
 
 def test_cache_put_get_and_stats():
-    cache = BlockCache(capacity_bytes=1 << 20)
+    metrics = MetricsRegistry()
+    cache = BlockCache(capacity_bytes=1 << 20, metrics=metrics)
     blk = _block(5)
     assert cache.get("f", 0) is None
     cache.put("f", 0, blk)
     assert cache.get("f", 0) is blk
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert (metrics.counter("block_cache_hits_total").value,
+            metrics.counter("block_cache_misses_total").value) == (1, 1)
 
 
 def test_cache_evicts_lru():

@@ -10,6 +10,7 @@ from repro.engine.errors import CorruptionError
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
 from repro.env import SimulatedDisk
 from repro.env.iostats import RAND, READ
+from repro.obs import MetricsRegistry
 
 
 def build_table(disk, name, items, block_size=64, bloom_bits=0):
@@ -148,7 +149,8 @@ def test_sstable_bloom_filters_absent_keys_without_io():
 
 def test_sstable_block_cache_hits_avoid_io():
     disk = SimulatedDisk()
-    cache = BlockCache(capacity_bytes=1 << 20)
+    metrics = MetricsRegistry()
+    cache = BlockCache(capacity_bytes=1 << 20, metrics=metrics)
     items = [(f"k{i:02d}".encode(), KIND_VALUE, b"v") for i in range(10)]
     build_table(disk, "t", items, block_size=4096)
     reader = SSTableReader(disk, "t", cache=cache)
@@ -156,7 +158,7 @@ def test_sstable_block_cache_hits_avoid_io():
     before = disk.stats.snapshot()
     reader.get(b"k01", tag="lookup")  # same block, cached
     assert disk.stats.delta_since(before).read_bytes == 0
-    assert cache.hits == 1
+    assert metrics.counter("block_cache_hits_total").value == 1
 
 
 def test_sstable_corrupt_magic_detected():

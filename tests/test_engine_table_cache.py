@@ -4,6 +4,7 @@ from repro.engine import SSTableBuilder
 from repro.engine.table_cache import TableCache
 from repro.env import SimulatedDisk
 from repro.engine.keys import KIND_VALUE
+from repro.obs import MetricsRegistry
 
 
 def make_tables(disk, count, prefix="t"):
@@ -19,11 +20,13 @@ def make_tables(disk, count, prefix="t"):
 def test_hit_returns_same_reader():
     disk = SimulatedDisk()
     (name,) = make_tables(disk, 1)
-    cache = TableCache(disk, capacity=4)
+    metrics = MetricsRegistry()
+    cache = TableCache(disk, capacity=4, metrics=metrics)
     r1 = cache.get(name)
     r2 = cache.get(name)
     assert r1 is r2
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert (metrics.counter("table_cache_hits_total").value,
+            metrics.counter("table_cache_misses_total").value) == (1, 1)
 
 
 def test_miss_charges_open_io():

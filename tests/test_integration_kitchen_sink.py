@@ -62,7 +62,7 @@ def test_all_features_together_with_crash_and_recovery():
     run_mixed_workload(db, model, rng, 5000)
     db.flush()
     stats = db.stats
-    assert stats.merges > 0 and stats.splits > 0
+    assert stats["merges"] > 0 and stats["splits"] > 0
     verify(db, model)
 
     # Crash on a mid-life GC, recover, verify, keep going.

@@ -55,8 +55,9 @@ def test_values_survive_flush_and_compaction():
     n = 500
     for i in range(n):
         db.put(f"key-{i:05d}".encode(), f"value-{i}".encode() * 4)
-    assert db.stats.flushes > 0
-    assert db.stats.compactions > 0
+    jobs = db.scheduler.describe()["job_counts"]
+    assert jobs["flush"] > 0
+    assert jobs["compaction"] > 0
     for i in range(n):
         assert db.get(f"key-{i:05d}".encode()) == f"value-{i}".encode() * 4
 

@@ -2,10 +2,12 @@
 
 The obs layer never touches the simulated device, so a store with
 ``metrics_enabled=True`` must produce bit-identical on-disk bytes,
-identical read results and identical I/O accounting to one running the
-no-op registry — across synchronous and overlapped scheduler modes.  This
-mirrors ``tests/test_runtime_equivalence.py``, which pins the same
-invariant for the scheduler itself.
+identical read results and identical I/O accounting to one with op spans
+off — across synchronous and overlapped scheduler modes.  Every count
+lives in the registry either way: ``metrics_enabled=False`` only skips
+the ``unikv_op_seconds`` spans, so the two stores' counters and gauges
+are equal.  This mirrors ``tests/test_runtime_equivalence.py``, which
+pins the same invariant for the scheduler itself.
 """
 
 import pytest
@@ -13,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import UniKV
-from repro.obs import NULL_REGISTRY, MetricsRegistry
 from tests.conftest import tiny_unikv_config
 from tests.test_runtime_equivalence import apply_ops, disk_state, mixed_ops
 
@@ -31,6 +32,16 @@ def io_records(store) -> dict:
             for key, rec in store.disk.stats.records.items()}
 
 
+def counts(store) -> tuple[list, list]:
+    snap = store.metrics_snapshot()
+    return snap["counters"], snap["gauges"]
+
+
+def op_spans(store) -> int:
+    return sum(entry["count"] for entry in store.metrics_snapshot()["histograms"]
+               if entry["name"] == "unikv_op_seconds")
+
+
 @pytest.mark.parametrize("background_threads", [0, 2])
 def test_metrics_mode_state_identical(background_threads):
     ops = mixed_ops(3000, seed=23)
@@ -40,18 +51,16 @@ def test_metrics_mode_state_identical(background_threads):
     assert on_results == off_results
     assert disk_state(on) == disk_state(off)
     assert io_records(on) == io_records(off)
-    assert (on.scheduler.stats.as_dict() == off.scheduler.stats.as_dict())
-    # The instrumented store really recorded something...
-    snap = on.metrics_snapshot()
-    ops_recorded = sum(entry["count"] for entry in snap["histograms"]
-                      if entry["name"] == "unikv_op_seconds")
-    assert ops_recorded == len(ops)
-    # ...and the disabled one runs the shared no-op registry.
-    assert on.metrics is not NULL_REGISTRY
-    assert isinstance(on.metrics, MetricsRegistry)
-    assert off.metrics is NULL_REGISTRY
-    assert off.metrics_snapshot() == {"counters": [], "gauges": [],
-                                      "histograms": []}
+    # Spans off changes no count: counters and gauges match exactly, and
+    # so does every histogram but the op spans...
+    assert counts(off) == counts(on)
+    assert on.scheduler.describe() == off.scheduler.describe()
+    on_snap, off_snap = on.metrics_snapshot(), off.metrics_snapshot()
+    assert off_snap["histograms"] == [entry for entry in on_snap["histograms"]
+                                      if entry["name"] != "unikv_op_seconds"]
+    # ...which only the instrumented store records.
+    assert op_spans(on) == len(ops)
+    assert op_spans(off) == 0
 
 
 @settings(max_examples=10, deadline=None)
@@ -63,12 +72,12 @@ def test_metrics_equivalence_property(seed, n_ops):
     for enabled in (True, False):
         db = UniKV(config=tiny_unikv_config(metrics_enabled=enabled))
         results = apply_ops(db, ops)
-        states.append((disk_state(db), results, io_records(db)))
+        states.append((disk_state(db), results, io_records(db), counts(db)))
     assert states[0] == states[1]
 
 
 def test_metrics_survive_recovery_equivalently():
-    """Reopening over an existing disk keeps the equivalence, and the
+    """Reopening over an existing disk keeps the equivalence, and each
     recovered store gets a fresh registry wired to its new scheduler."""
     ops = mixed_ops(1500, seed=5)
     on, off = build_pair(background_threads=0)
@@ -81,9 +90,8 @@ def test_metrics_survive_recovery_equivalently():
     more = mixed_ops(800, seed=6)
     assert apply_ops(re_on, more) == apply_ops(re_off, more)
     assert disk_state(re_on) == disk_state(re_off)
-    assert re_on.metrics.enabled and not re_off.metrics.enabled
-    assert any(entry["name"] == "unikv_op_seconds"
-               for entry in re_on.metrics_snapshot()["histograms"])
+    assert counts(re_on) == counts(re_off)
+    assert op_spans(re_on) == len(more) and op_spans(re_off) == 0
 
 
 def test_get_path_split_covers_all_layers():

@@ -1,14 +1,17 @@
 """Registry semantics: determinism, stall-cause attribution, export."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import UniKV
 from repro.obs import (
     DEFAULT_QUANTILES,
-    NULL_REGISTRY,
     MetricsRegistry,
+    core_view,
     merge_snapshots,
     snapshot_to_prometheus,
+    write_stall_view,
 )
 from tests.conftest import tiny_unikv_config
 from tests.test_runtime_equivalence import apply_ops, mixed_ops
@@ -38,17 +41,6 @@ def test_metrics_are_get_or_create_keyed_by_name_and_labels():
     assert set(hist["quantiles"]) == {f"p{100 * q:g}" for q in DEFAULT_QUANTILES}
 
 
-def test_null_registry_is_inert_and_shared():
-    NULL_REGISTRY.counter("x").inc()
-    NULL_REGISTRY.gauge("y").set(9)
-    NULL_REGISTRY.histogram("z").record(1.0)
-    assert NULL_REGISTRY.snapshot() == {"counters": [], "gauges": [],
-                                        "histograms": []}
-    assert NULL_REGISTRY.to_prometheus() == ""
-    assert NULL_REGISTRY.clock() == 0.0
-    assert not NULL_REGISTRY.enabled
-
-
 def test_virtual_clock_snapshots_are_deterministic():
     """Two identical runs on the scheduler's virtual clock produce exactly
     equal snapshots — the property that makes obs assertions testable."""
@@ -67,31 +59,31 @@ def test_stall_causes_attributed_to_submitting_job():
     db = UniKV(config=tiny_unikv_config(
         background_threads=1, slowdown_trigger=1, stop_trigger=2))
     apply_ops(db, mixed_ops(4000, seed=13))
-    stats = db.scheduler.stats
-    assert stats.stall_events > 0
-    assert stats.stall_causes
+    stats = db.scheduler.describe()
+    assert stats["stall_events"] > 0
+    assert stats["stall_causes"]
     # Every stall is attributed to exactly one <kind>:<cause> key.
-    assert sum(stats.stall_causes.values()) == stats.stall_events
-    for key in stats.stall_causes:
+    assert sum(stats["stall_causes"].values()) == stats["stall_events"]
+    for key in stats["stall_causes"]:
         kind, cause = key.split(":")
         assert kind in ("slowdown", "stop")
-        assert cause in stats.job_counts
-    # The obs counters mirror the WriteStallStats ledger exactly.
+        assert cause in stats["job_counts"]
+    # The view reads the registry's stall metrics and nothing else.
     snap = db.metrics_snapshot()
     counted = {(e["labels"]["type"], e["labels"]["cause"]): e["value"]
                for e in snap["counters"] if e["name"] == "write_stalls_total"}
     assert counted == {tuple(k.split(":")): v
-                       for k, v in stats.stall_causes.items()}
+                       for k, v in stats["stall_causes"].items()}
     [stall_hist] = [e for e in snap["histograms"]
                     if e["name"] == "write_stall_seconds"]
-    assert stall_hist["count"] == stats.stall_events
-    assert stall_hist["sum"] == pytest.approx(stats.stall_seconds)
+    assert stall_hist["count"] == stats["stall_events"]
+    assert stall_hist["sum"] == stats["stall_seconds"]
 
 
 def test_stall_causes_in_as_dict_and_absent_when_synchronous():
     db = UniKV(config=tiny_unikv_config())
     apply_ops(db, mixed_ops(1500, seed=2))
-    info = db.scheduler.stats.as_dict()
+    info = db.scheduler.describe()
     assert info["stall_causes"] == {}
     assert info["stall_events"] == 0
 
@@ -120,6 +112,70 @@ def test_merge_snapshots_sums_and_recomputes_quantiles():
     from repro.obs import LogHistogram
     assert LogHistogram.from_dict(hist).quantile(1.0) == pytest.approx(
         1.0, rel=0.01)
+
+
+def test_merge_snapshots_takes_max_of_high_water_gauges():
+    a, b = MetricsRegistry(), MetricsRegistry()
+    a.gauge("queue_high_water").set(3)
+    b.gauge("queue_high_water").set(2)
+    a.counter("events").inc(4)
+    b.counter("events").inc(5)
+    merged = merge_snapshots([a.snapshot(), b.snapshot()])
+    assert merged["gauges"] == [{"name": "queue_high_water", "labels": {}, "value": 3}]
+    assert merged["counters"] == [{"name": "events", "labels": {}, "value": 9}]
+
+
+_KINDS = ("flush", "merge", "gc", "scan_merge", "split")
+
+
+@st.composite
+def _store_registry_snapshots(draw) -> list[dict]:
+    """Snapshots of registries holding the metrics the store views read."""
+    snaps = []
+    for __ in range(draw(st.integers(min_value=1, max_value=4))):
+        reg = MetricsRegistry()
+        for kind in draw(st.lists(st.sampled_from(_KINDS), max_size=12)):
+            reg.histogram("maintenance_job_seconds", kind=kind).record(
+                draw(st.floats(min_value=1e-6, max_value=1.0)))
+        for stall_type in draw(st.lists(st.sampled_from(("slowdown", "stop")),
+                                        max_size=6)):
+            reg.counter("write_stalls_total", type=stall_type,
+                        cause=draw(st.sampled_from(_KINDS))).inc()
+            reg.histogram("write_stall_seconds").record(
+                draw(st.floats(min_value=1e-6, max_value=0.1)))
+        reg.gauge("maintenance_queue_depth_high_water").set(
+            draw(st.integers(min_value=0, max_value=9)))
+        reg.counter("index_checkpoints_total").inc(draw(st.integers(0, 5)))
+        reg.counter("hash_false_positive_probes_total").inc(draw(st.integers(0, 5)))
+        snaps.append(reg.snapshot())
+    return snaps
+
+
+def _fieldwise(views: list[dict]) -> dict:
+    """Sum every numeric leaf (dicts recurse), except high-water marks,
+    which take the max."""
+    out: dict = {}
+    for view in views:
+        for key, value in view.items():
+            if isinstance(value, dict):
+                out[key] = _fieldwise([out.get(key, {}), value])
+            elif key.endswith("_high_water"):
+                out[key] = max(out.get(key, 0), value)
+            else:
+                out[key] = out.get(key, 0) + value
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(snaps=_store_registry_snapshots())
+def test_view_of_merged_snapshots_is_fieldwise_merge_of_views(snaps):
+    merged = merge_snapshots(snaps)
+    for view in (core_view, write_stall_view):
+        expected = _fieldwise([view(snap) for snap in snaps])
+        got = view(merged)
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert got[key] == pytest.approx(value, rel=1e-12), key
 
 
 def test_prometheus_export_shape():

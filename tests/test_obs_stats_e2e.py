@@ -8,6 +8,11 @@ view equals merging the per-shard registries directly.
 """
 
 import asyncio
+import os
+import pathlib
+import socket
+import subprocess
+import sys
 
 from repro.obs import merge_snapshots
 from repro.obs.render import render_periodic_dump, render_stats
@@ -111,3 +116,19 @@ async def _stats_e2e():
         assert render_periodic_dump(payload).startswith("[stats] requests=")
 
     await server.stop()
+
+
+def test_stats_cli_reports_unreachable_server_without_traceback():
+    """The client gives up with TransientError once its retries run out;
+    the CLI reports that as one line and exit 1, not a traceback."""
+    with socket.socket() as sock:  # a port that was free a moment ago
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "stats", "--port", str(port), "--timeout", "0.5"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert f"cannot reach 127.0.0.1:{port}" in proc.stderr
+    assert "Traceback" not in proc.stderr + proc.stdout

@@ -98,9 +98,9 @@ def test_background_mode_state_identical(engine):
     assert sync_results == over_results
     assert disk_state(sync_store) == disk_state(over_store)
     # Identical jobs ran — only their device-time attribution differs.
-    assert (sync_store.scheduler.stats.job_counts
-            == over_store.scheduler.stats.job_counts)
-    assert sync_store.scheduler.stats.stall_seconds == 0.0
+    sync_stats = sync_store.scheduler.describe()
+    assert sync_stats["job_counts"] == over_store.scheduler.describe()["job_counts"]
+    assert sync_stats["stall_seconds"] == 0.0
 
 
 def test_background_mode_describe_identical_modulo_runtime():

@@ -8,7 +8,7 @@ from repro.core import UniKV
 from repro.env.cost_model import DeviceCostModel
 from repro.env.iostats import IOStats
 from repro.env.storage import SimulatedDisk
-from repro.runtime import Job, MaintenanceScheduler, WriteStallStats
+from repro.runtime import Job, MaintenanceScheduler
 from repro.workloads import make_key
 from tests.conftest import tiny_unikv_config
 
@@ -39,7 +39,7 @@ def test_trigger_false_skips_job():
     job = scheduler.submit(Job(kind="merge", fn=lambda: 1 / 0,
                                trigger=lambda: False))
     assert not job.ran and job.result is None
-    assert scheduler.stats.job_counts == {}
+    assert scheduler.describe()["job_counts"] == {}
 
 
 def test_job_exceptions_propagate():
@@ -55,8 +55,8 @@ def test_job_counts_and_durations_recorded():
                          fn=lambda: write_bytes(disk, "f", 4096, "flush")))
     scheduler.submit(Job(kind="flush",
                          fn=lambda: write_bytes(disk, "f", 4096, "flush")))
-    assert scheduler.stats.job_counts == {"flush": 2}
-    assert scheduler.stats.job_seconds["flush"] > 0
+    assert scheduler.describe()["job_counts"] == {"flush": 2}
+    assert scheduler.describe()["job_seconds"]["flush"] > 0
 
 
 # -- synchronous mode ---------------------------------------------------------------
@@ -70,8 +70,8 @@ def test_synchronous_mode_leaves_foreground_io_untouched():
     # Nothing is attributed to the background: the phase delta a runner
     # computes is identical to the pre-scheduler foreground accounting.
     assert scheduler.background_io.records == {}
-    assert scheduler.stats.stall_seconds == 0.0
-    assert scheduler.stats.queue_depth_high_water == 0
+    assert scheduler.stalls.sum == 0.0
+    assert scheduler.describe()["queue_depth_high_water"] == 0
 
 
 # -- overlapped mode ---------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_nested_jobs_not_double_counted():
     assert scheduler.background_io.bytes_for(tag="merge") == 3000
     expected = DeviceCostModel().seconds(
         scheduler.background_io.delta_since(IOStats()))
-    total = sum(scheduler.stats.job_seconds.values())
+    total = sum(scheduler.describe()["job_seconds"].values())
     assert total == pytest.approx(expected)
     assert outer.duration_seconds < total
 
@@ -114,9 +114,9 @@ def test_lanes_overlap_durations():
             fn=lambda i=i: write_bytes(disk, f"c{i}", 40960, "compaction")))
     # Two lanes: both jobs run concurrently from clock 0; the backlog is
     # one job's duration, not two.
-    one = scheduler.stats.job_seconds["compaction"] / 2
+    one = scheduler.describe()["job_seconds"]["compaction"] / 2
     assert scheduler.backlog_seconds() == pytest.approx(one)
-    assert scheduler.stats.queue_depth_high_water == 2
+    assert scheduler.describe()["queue_depth_high_water"] == 2
 
 
 def test_single_lane_serializes_durations():
@@ -126,7 +126,7 @@ def test_single_lane_serializes_durations():
         scheduler.submit(Job(
             kind="compaction",
             fn=lambda i=i: write_bytes(disk, f"c{i}", 40960, "compaction")))
-    total = scheduler.stats.job_seconds["compaction"]
+    total = scheduler.describe()["job_seconds"]["compaction"]
     assert scheduler.backlog_seconds() == pytest.approx(total)
 
 
@@ -141,8 +141,8 @@ def test_slowdown_injects_penalty_stalls():
             kind="compaction",
             fn=lambda i=i: write_bytes(disk, f"c{i}", 40960, "compaction")))
     # Jobs 2 and 3 see depth 2 and 3 -> penalties of 1x and 2x.
-    assert scheduler.stats.stall_events == 2
-    assert scheduler.stats.stall_seconds == pytest.approx(3 * 10.0 * 1e-6)
+    assert scheduler.stalls.count == 2
+    assert scheduler.stalls.sum == pytest.approx(3 * 10.0 * 1e-6)
 
 
 def test_stop_trigger_stalls_until_drain():
@@ -156,9 +156,9 @@ def test_stop_trigger_stalls_until_drain():
             fn=lambda i=i: write_bytes(disk, f"c{i}", 409600, "compaction")))
     # The third submit hits stop_trigger: the foreground clock jumps to the
     # first job's end, so the queue drains below the stop threshold.
-    assert scheduler.stats.stall_seconds > 0
+    assert scheduler.stalls.sum > 0
     assert scheduler.queue_depth() < 3
-    assert scheduler.stats.queue_depth_high_water == 3
+    assert scheduler.describe()["queue_depth_high_water"] == 3
 
 
 def test_stalls_advance_foreground_clock():
@@ -168,7 +168,7 @@ def test_stalls_advance_foreground_clock():
     scheduler.submit(Job(
         kind="flush", fn=lambda: write_bytes(disk, "f", 4096, "flush")))
     assert scheduler.foreground_clock() == pytest.approx(
-        before + scheduler.stats.stall_seconds)
+        before + scheduler.stalls.sum)
 
 
 def test_describe_shape():
@@ -178,15 +178,6 @@ def test_describe_shape():
     for key in ("stall_seconds", "job_counts", "queue_depth",
                 "backlog_seconds", "queue_depth_high_water"):
         assert key in info
-
-
-def test_write_stall_stats_as_dict_superset():
-    stats = WriteStallStats(flushes=3, stall_seconds=0.5)
-    d = stats.as_dict()
-    assert d["flushes"] == 3 and d["stall_seconds"] == 0.5
-    assert set(d) >= {"flushes", "compactions", "gc_runs", "stall_seconds",
-                      "stall_events", "queue_depth_high_water",
-                      "job_counts", "job_seconds"}
 
 
 # -- running-total clock vs the record rebuild -----------------------------------------
@@ -222,10 +213,10 @@ def track_reference_job_seconds(disk, scheduler) -> dict[str, float]:
 def assert_clock_matches_reference(disk, scheduler, expected=None):
     reference = (DeviceCostModel().seconds(
         disk.stats.delta_since(scheduler.background_io))
-        + scheduler.stats.stall_seconds)
+        + scheduler.stalls.sum)
     assert scheduler.foreground_clock() == pytest.approx(reference, rel=1e-9)
     for kind, seconds in (expected or {}).items():
-        assert scheduler.stats.job_seconds[kind] == pytest.approx(seconds, rel=1e-9)
+        assert scheduler.describe()["job_seconds"][kind] == pytest.approx(seconds, rel=1e-9)
 
 
 _IO = st.tuples(st.sampled_from(["read", "write"]), st.sampled_from(["seq", "rand"]),
@@ -281,7 +272,7 @@ def test_running_clock_matches_record_rebuild_after_recovery(threads, reopen):
             recovered.scan(make_key(i), 20)
         if i % 50 == 0:
             assert_clock_matches_reference(disk, scheduler)
-    assert expected and scheduler.stats.job_counts
+    assert expected and scheduler.describe()["job_counts"]
     assert_clock_matches_reference(disk, scheduler, expected)
 
 

@@ -94,7 +94,7 @@ def test_stats_aggregates_per_shard_write_stall_and_core():
         router.put(make_key(i), b"x" * 64)
     stats = router.stats()
     assert len(stats["shards"]) == 2
-    for field in ("flushes", "stall_seconds", "stall_events"):
+    for field in ("stall_seconds", "stall_events"):
         total = sum(s["write_stall"][field] for s in stats["shards"])
         assert stats["aggregate"]["write_stall"][field] == pytest.approx(total)
     assert stats["aggregate"]["core"]["flushes"] == sum(
@@ -109,8 +109,8 @@ def test_stats_aggregates_per_shard_write_stall_and_core():
 def test_stats_aggregate_takes_max_of_high_water_marks():
     router = make_router(2)
     for store, depth, events in zip(router.stores, (3, 2), (4, 5)):
-        store.scheduler.stats.queue_depth_high_water = depth
-        store.scheduler.stats.stall_events = events
+        store.metrics.gauge("maintenance_queue_depth_high_water").set(depth)
+        store.scheduler.stalls.record(1e-6, n=events)
     agg = router.stats()["aggregate"]["write_stall"]
     assert agg["queue_depth_high_water"] == 3  # max across shards, not 5
     assert agg["stall_events"] == 9            # counters still sum

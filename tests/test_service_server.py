@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.core import UniKV
+from repro.obs import server_view
 from repro.service import protocol
 from repro.service.client import AsyncKVClient, KVClient, RetryPolicy, TransientError
 from repro.service.protocol import Status
@@ -63,14 +64,14 @@ async def _e2e_two_shards():
                 await client.put(op[1], op[2])
                 oracle.put(op[1], op[2])
         assert reads > 50 and scans > 50  # the workload actually mixed
-        # STATS aggregates per-shard WriteStallStats correctly.
+        # STATS aggregates the per-shard scheduler views correctly.
         stats = await client.stats()
         assert len(stats["shards"]) == 2
         for i, store in enumerate(server.router.stores):
-            assert (stats["shards"][i]["write_stall"]
-                    == store.scheduler.stats.as_dict())
+            assert (stats["shards"][i]["write_stall"].items()
+                    <= store.scheduler.describe().items())
         agg = stats["aggregate"]["write_stall"]
-        for field in ("flushes", "stall_seconds", "stall_events"):
+        for field in ("stall_seconds", "stall_events"):
             assert agg[field] == pytest.approx(sum(
                 s["write_stall"][field] for s in stats["shards"]))
         # A high-water mark across shards is their max, not their sum.
@@ -110,9 +111,10 @@ async def _backpressure_delay():
         stats = await client.stats()
         assert stats["aggregate"]["write_stall"]["stall_events"] > 0
         # ...and the server delayed (not dropped) writes.
-        assert server.stats.delayed_writes > 0
-        assert server.stats.shed_writes == 0
-        assert server.stats.errors == 0
+        counts = server_view(server.metrics.snapshot())
+        assert counts["delayed_writes"] > 0
+        assert counts["shed_writes"] == 0
+        assert counts["errors"] == 0
         for i in range(0, 600, 13):
             assert await client.get(make_key(i)) == b"x" * 64
     assert client.total_retries == 0  # delay mode never surfaces RETRY
@@ -133,7 +135,8 @@ async def _backpressure_shed():
     async with AsyncKVClient(port=server.port, retry=retry) as client:
         for i in range(600):
             await client.put(make_key(i), b"y" * 64)
-        assert server.stats.shed_writes > 0        # RETRY responses were sent
+        shed = server_view(server.metrics.snapshot())["shed_writes"]
+        assert shed > 0                            # RETRY responses were sent
         assert client.total_retries > 0            # and the client backed off
         for i in range(0, 600, 13):                # yet every write landed
             assert await client.get(make_key(i)) == b"y" * 64
@@ -225,7 +228,7 @@ async def _oversized_frame():
     status, body = protocol.decode_response(responses[1])
     assert status == Status.OK
     assert protocol.decode_value_body(body) == b"still-alive"
-    assert server.stats.too_large_frames == 1
+    assert server_view(server.metrics.snapshot())["too_large_frames"] == 1
     writer.close()
     await writer.wait_closed()
     await server.stop()
@@ -496,7 +499,7 @@ def test_sync_client_retries_on_shed_backpressure():
                       retry=retry) as client:
             for i in range(400):
                 client.put(make_key(i), b"z" * 64)
-            assert harness.server.stats.shed_writes > 0
+            assert server_view(harness.server.metrics.snapshot())["shed_writes"] > 0
             assert client.total_retries > 0
             for i in range(0, 400, 17):
                 assert client.get(make_key(i)) == b"z" * 64
@@ -560,7 +563,7 @@ async def _disk_crash_retry():
         server.router.stores[0].disk.crash()
         with pytest.raises(TransientError):
             await client.put(make_key(1), b"after")
-        assert server.stats.errors >= 1
+        assert server_view(server.metrics.snapshot())["errors"] >= 1
         # The healthy shard keeps serving.
         await client.put(make_key(999), b"other-shard")
         assert await client.get(make_key(999)) == b"other-shard"

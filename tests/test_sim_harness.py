@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.obs import server_view
 from repro.service import protocol
 from repro.service.handler import RequestHandler, Session
 from repro.service.protocol import Status
@@ -178,7 +179,7 @@ def test_sim_server_crashed_shard_returns_retry(sim_router):
     status, body = _call(server, protocol.encode_put(b"\x00k", b"v"))
     assert status == Status.RETRY
     assert b"crashed" in body
-    assert server.stats.crashed_rejections == 1
+    assert server_view(server.metrics.snapshot())["crashed_rejections"] == 1
     # The other shard is unaffected.
     assert _call(server, protocol.encode_put(b"\xf0k", b"v"))[0] == Status.OK
 
@@ -249,6 +250,6 @@ def test_default_run_reaches_flush_and_merge():
     harness = SimHarness(0)
     result = harness.run()
     assert result.ok, "\n".join(str(v) for v in result.violations)
-    jobs = [store.scheduler.stats.job_counts for store in harness.router.stores]
+    jobs = [store.scheduler.describe()["job_counts"] for store in harness.router.stores]
     assert sum(j.get("flush", 0) for j in jobs) >= 1
     assert sum(j.get("merge", 0) for j in jobs) >= 1
