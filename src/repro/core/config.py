@@ -83,10 +83,11 @@ class UniKVConfig:
     slowdown_penalty_us: float = 200.0
 
     # -- observability (repro.obs) --------------------------------------------------------
-    #: live metrics registry (per-op latency histograms on the virtual
-    #: clock, cache/vlog counters, stall-cause attribution).  False swaps
-    #: in the no-op registry — store behaviour is bit-identical either way
-    #: (pinned by tests/test_obs_equivalence.py).
+    #: per-op latency spans: the store reads its virtual clock around each
+    #: put/delete/batch/get/scan and records ``unikv_op_seconds``.  False
+    #: skips only those clock reads and records; every counter, gauge and
+    #: maintenance/stall histogram is kept either way, and store behaviour
+    #: is bit-identical (pinned by tests/test_obs_equivalence.py).
     metrics_enabled: bool = True
 
     # -- misc ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ value-log read on a hit.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterator
 
 from repro.engine.errors import CorruptionError
 from repro.engine.keys import KIND_VALUE, KIND_VPTR
 from repro.engine.sstable import TableMeta
-from repro.engine.vlog import ValuePointer
+from repro.engine.vlog import POINTER
 from repro.core.context import StoreContext
 
 Record = tuple[bytes, int, bytes]
@@ -29,6 +30,8 @@ class SortedStore:
         self._ctx = ctx
         self.partition_id = partition_id
         self.tables: list[TableMeta] = []  # sorted by smallest, disjoint
+        #: ``smallest`` of each table, for the in-memory binary searches
+        self._smallest: list[bytes] = []
         #: bytes of live value-log records owned by this partition's keys
         self.live_value_bytes = 0
 
@@ -36,6 +39,7 @@ class SortedStore:
 
     def replace_tables(self, tables: list[TableMeta]) -> None:
         self.tables = sorted(tables, key=lambda m: m.smallest)
+        self._smallest = [m.smallest for m in self.tables]
         self._check_invariants()
 
     def _check_invariants(self) -> None:
@@ -49,8 +53,7 @@ class SortedStore:
     def _table_for_key(self, key: bytes) -> TableMeta | None:
         if not self.tables:
             return None
-        keys = [m.smallest for m in self.tables]
-        i = bisect_left(keys, key)
+        i = bisect_left(self._smallest, key)
         if i < len(self.tables) and self.tables[i].smallest == key:
             return self.tables[i]
         if i == 0:
@@ -79,8 +82,13 @@ class SortedStore:
         return self.resolve_pointer(key, payload, tag="lookup_value")
 
     def resolve_pointer(self, key: bytes, ptr_bytes: bytes, tag: str) -> bytes:
-        ptr = ValuePointer.decode(ptr_bytes)
-        stored_key, value = self._ctx.log_reader(ptr.log_number).read_value(ptr, tag=tag)
+        """The value a pointer record of ``key`` points at (one value-log
+        read); the value log must hold it under ``key``."""
+        if len(ptr_bytes) != POINTER.size:
+            raise CorruptionError("bad value-pointer size")
+        __, log_number, offset, length = POINTER.unpack(ptr_bytes)
+        stored_key, value = self._ctx.log_reader(log_number).read_value(
+            offset, length, tag=tag)
         if stored_key != key:
             raise CorruptionError(
                 f"value-log key mismatch: wanted {key!r}, found {stored_key!r}")
@@ -90,18 +98,22 @@ class SortedStore:
 
     def entries_from(self, start: bytes, tag: str = "scan") -> Iterator[Record]:
         """(key, KIND_VPTR, pointer bytes) with key >= start, sorted."""
+        return chain.from_iterable(self._tables_from(start, tag))
+
+    def _tables_from(self, start: bytes, tag: str) -> Iterator[Iterator[Record]]:
+        # One table at a time: a table is opened only once the scan
+        # reaches it.
         if not self.tables:
             return
-        keys = [m.smallest for m in self.tables]
-        i = max(0, bisect_left(keys, start) - 1) if start else 0
+        i = max(0, bisect_left(self._smallest, start) - 1) if start else 0
         for meta in self.tables[i:]:
             if meta.largest < start:
                 continue
             reader = self._ctx.table_reader(meta.name)
             if start > meta.smallest:
-                yield from reader.entries_from(start, tag=tag)
+                yield reader.entries_from(start, tag=tag)
             else:
-                yield from reader.entries(tag=tag)
+                yield reader.entries(tag=tag)
 
     def all_entries(self, tag: str) -> Iterator[Record]:
         """Full sequential pass over the run (merge/GC/split input)."""

@@ -28,6 +28,7 @@ store from its manifest, WAL and hash-index checkpoints::
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import islice
 from typing import Iterator
 
 from repro.engine.iterators import merge_sorted
@@ -206,27 +207,9 @@ class UniKV(KVStore):
         return out
 
     def _scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
-        out: list[tuple[bytes, bytes]] = []
-        if count <= 0:
-            return out
-        start_index = self._partition_index(start)
-        for pi in range(start_index, len(self.partitions)):
-            partition = self.partitions[pi]
-            lo = max(start, partition.lower)
-            hi = (self.partitions[pi + 1].lower
-                  if pi + 1 < len(self.partitions) else None)
-            for key, kind, payload in self._partition_scan(partition, lo, hi):
-                if kind == KIND_TOMBSTONE:
-                    continue
-                if kind == KIND_VPTR:
-                    value = partition.sorted.resolve_pointer(
-                        key, payload, tag=self.scan_value_tag)
-                else:
-                    value = payload
-                out.append((key, value))
-                if len(out) >= count:
-                    return out
-        return out
+        # islice stops pulling after ``count`` pairs, so a scan reads
+        # exactly what it returns (plus the merge's lookahead).
+        return list(islice(self.items(start), count)) if count > 0 else []
 
     def items(self, start: bytes = b"",
               end: bytes | None = None) -> Iterator[tuple[bytes, bytes]]:
@@ -236,6 +219,7 @@ class UniKV(KVStore):
         store must not be mutated while the iterator is live (single-writer
         discipline, as in LevelDB iterators without snapshots).
         """
+        tag = self.scan_value_tag
         start_index = self._partition_index(start)
         for pi in range(start_index, len(self.partitions)):
             partition = self.partitions[pi]
@@ -244,15 +228,13 @@ class UniKV(KVStore):
             lo = max(start, partition.lower)
             hi = (self.partitions[pi + 1].lower
                   if pi + 1 < len(self.partitions) else None)
+            resolve = partition.sorted.resolve_pointer
             for key, kind, payload in self._partition_scan(partition, lo, hi):
                 if end is not None and key >= end:
                     return
-                if kind == KIND_TOMBSTONE:
-                    continue
                 if kind == KIND_VPTR:
-                    yield key, partition.sorted.resolve_pointer(
-                        key, payload, tag=self.scan_value_tag)
-                else:
+                    yield key, resolve(key, payload, tag)
+                elif kind != KIND_TOMBSTONE:
                     yield key, payload
 
     def flush(self) -> None:

@@ -27,9 +27,11 @@ from __future__ import annotations
 import struct
 import zlib
 from bisect import bisect_left
+from typing import Iterator
 
 from repro.engine.errors import CorruptionError
-from repro.engine.keys import decode_entry, encode_entry, pack_u32, unpack_u32
+from repro.engine.keys import (ENTRY_HEADER, ENTRY_HEADER_SIZE, encode_entry, pack_u32,
+                               unpack_u32)
 
 DEFAULT_BLOCK_SIZE = 4096
 
@@ -96,25 +98,32 @@ class BlockBuilder:
 
 
 class Block:
-    """A decoded data block supporting binary search and iteration."""
+    """A decoded data block supporting binary search and iteration.
 
-    __slots__ = ("keys", "kinds", "values")
+    ``nbytes`` is the decoded size the block cache charges: the sum of
+    ``len(key) + len(value) + 9`` over the records, fixed at decode (for
+    the plain format it is exactly the payload length).
+    """
 
-    def __init__(self, keys: list[bytes], kinds: list[int], values: list[bytes]) -> None:
+    __slots__ = ("keys", "kinds", "values", "nbytes")
+
+    def __init__(self, keys: list[bytes], kinds: list[int], values: list[bytes],
+                 nbytes: int) -> None:
         self.keys = keys
         self.kinds = kinds
         self.values = values
+        self.nbytes = nbytes
 
     @classmethod
     def decode(cls, buf: bytes) -> "Block":
-        if len(buf) < 9:
+        size = len(buf)
+        if size < 9:
             raise CorruptionError("block too small")
-        body, crc = buf[:-4], unpack_u32(buf, len(buf) - 4)
-        if zlib.crc32(body) != crc:
+        if zlib.crc32(memoryview(buf)[:size - 4]) != unpack_u32(buf, size - 4):
             raise CorruptionError("block checksum mismatch")
-        fmt = body[0]
-        count = unpack_u32(body, len(body) - 4)
-        payload = body[1:len(body) - 4]
+        fmt = buf[0]
+        count = unpack_u32(buf, size - 8)
+        payload = buf[1:size - 8]
         if fmt == FORMAT_PLAIN:
             return cls._decode_plain(payload, count)
         if fmt == FORMAT_PREFIX:
@@ -126,18 +135,22 @@ class Block:
         keys: list[bytes] = []
         kinds: list[int] = []
         values: list[bytes] = []
+        add_key, add_kind, add_value = keys.append, kinds.append, values.append
+        unpack = ENTRY_HEADER.unpack_from
         pos = 0
         end = len(buf)
         for __ in range(count):
-            if pos >= end:
+            if pos + ENTRY_HEADER_SIZE > end:
                 raise CorruptionError("block record count exceeds body")
-            key, kind, value, pos = decode_entry(buf, pos)
-            keys.append(key)
-            kinds.append(kind)
-            values.append(value)
+            klen, vlen, kind = unpack(buf, pos)
+            key_end = pos + ENTRY_HEADER_SIZE + klen
+            add_key(buf[pos + ENTRY_HEADER_SIZE:key_end])
+            pos = key_end + vlen
+            add_value(buf[key_end:pos])
+            add_kind(kind)
         if pos != end:
             raise CorruptionError("block body has trailing bytes")
-        return cls(keys, kinds, values)
+        return cls(keys, kinds, values, end)
 
     @classmethod
     def _decode_prefix(cls, buf: bytes, count: int) -> "Block":
@@ -147,6 +160,7 @@ class Block:
         pos = 0
         end = len(buf)
         prev = b""
+        nbytes = 0
         for __ in range(count):
             if pos + _PREFIX_HDR.size > end:
                 raise CorruptionError("block record count exceeds body")
@@ -156,15 +170,16 @@ class Block:
                 raise CorruptionError("prefix-compressed record out of range")
             key = prev[:shared] + buf[pos:pos + non_shared]
             pos += non_shared
-            value = bytes(buf[pos:pos + vlen])
+            value = buf[pos:pos + vlen]
             pos += vlen
             keys.append(key)
             kinds.append(kind)
             values.append(value)
+            nbytes += len(key) + vlen + ENTRY_HEADER_SIZE
             prev = key
         if pos != end:
             raise CorruptionError("block body has trailing bytes")
-        return cls(keys, kinds, values)
+        return cls(keys, kinds, values, nbytes)
 
     def get(self, key: bytes) -> tuple[int, bytes] | None:
         """(kind, value) for ``key``, or None."""
@@ -176,15 +191,13 @@ class Block:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def entries(self, start_index: int = 0):
-        for i in range(start_index, len(self.keys)):
-            yield self.keys[i], self.kinds[i], self.values[i]
+    def entries(self, start_index: int = 0) -> Iterator[tuple[bytes, int, bytes]]:
+        """(key, kind, value) records from ``start_index`` on, in key order."""
+        if start_index:
+            return zip(self.keys[start_index:], self.kinds[start_index:],
+                       self.values[start_index:])
+        return zip(self.keys, self.kinds, self.values)
 
     def lower_bound(self, key: bytes) -> int:
         """Index of the first record with record.key >= key."""
         return bisect_left(self.keys, key)
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate decoded payload size (for cache accounting)."""
-        return sum(len(k) + len(v) + 9 for k, v in zip(self.keys, self.values))

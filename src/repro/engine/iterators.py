@@ -25,27 +25,33 @@ def merge_sorted(sources: Iterable[Iterator[Record]],
     ``drop_tombstones`` the surviving record is suppressed when it is a
     deletion — used by bottommost compactions and merges into an empty run.
     """
-    heap: list[tuple[bytes, int, Iterator[Record], int, bytes]] = []
+    # Heap items are (key, priority, source, record): keys tie only across
+    # sources, and priorities never tie, so sources are never compared.
+    heap: list[tuple[bytes, int, Iterator[Record], Record]] = []
     for priority, source in enumerate(sources):
         it = iter(source)
         first = next(it, None)
         if first is not None:
-            key, kind, value = first
-            heap.append((key, priority, it, kind, value))
+            heap.append((first[0], priority, it, first))
     heapq.heapify(heap)
 
+    heapreplace, heappop = heapq.heapreplace, heapq.heappop
     prev_key: bytes | None = None
     while heap:
-        key, priority, it, kind, value = heapq.heappop(heap)
+        key, priority, it, record = heap[0]
+        # Refill from the source just consumed before emitting: a refill
+        # can read a block, and a scan must keep its reads in this order.
         nxt = next(it, None)
-        if nxt is not None:
-            heapq.heappush(heap, (nxt[0], priority, it, nxt[1], nxt[2]))
+        if nxt is None:
+            heappop(heap)
+        else:
+            heapreplace(heap, (nxt[0], priority, it, nxt))
         if key == prev_key:
             continue  # an older version of a key we already emitted
         prev_key = key
-        if drop_tombstones and kind == KIND_TOMBSTONE:
+        if drop_tombstones and record[1] == KIND_TOMBSTONE:
             continue
-        yield key, kind, value
+        yield record
 
 
 def clip_range(records: Iterator[Record], lo: bytes | None,

@@ -22,26 +22,27 @@ _KINDS = (KIND_VALUE, KIND_TOMBSTONE, KIND_VPTR)
 TOMBSTONE = object()
 
 _U32 = struct.Struct("<I")
-_ENTRY_HDR = struct.Struct("<IIB")  # key length, value length, kind
+#: header of one encoded record: key length, value length, kind
+ENTRY_HEADER = struct.Struct("<IIB")
 
 
 def encode_entry(key: bytes, kind: int, value: bytes) -> bytes:
     """Serialize one (key, kind, value) record."""
     if kind not in _KINDS:
         raise ValueError(f"unknown record kind {kind}")
-    return _ENTRY_HDR.pack(len(key), len(value), kind) + key + value
+    return ENTRY_HEADER.pack(len(key), len(value), kind) + key + value
 
 
 def decode_entry(buf: bytes, offset: int = 0) -> tuple[bytes, int, bytes, int]:
     """Decode one record; returns (key, kind, value, next_offset)."""
-    klen, vlen, kind = _ENTRY_HDR.unpack_from(buf, offset)
-    start = offset + _ENTRY_HDR.size
+    klen, vlen, kind = ENTRY_HEADER.unpack_from(buf, offset)
+    start = offset + ENTRY_HEADER.size
     key = bytes(buf[start:start + klen])
     value = bytes(buf[start + klen:start + klen + vlen])
     return key, kind, value, start + klen + vlen
 
 
-ENTRY_HEADER_SIZE = _ENTRY_HDR.size
+ENTRY_HEADER_SIZE = ENTRY_HEADER.size
 
 
 def entry_size(key: bytes, value: bytes) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import struct
 import zlib
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterator
 
 from repro.engine.block import Block, BlockBuilder, DEFAULT_BLOCK_SIZE
@@ -235,20 +236,27 @@ class SSTableReader:
 
     def entries(self, tag: str) -> Iterator[tuple[bytes, int, bytes]]:
         """All records in key order (sequential block reads)."""
-        for i in range(len(self._block_locs)):
-            yield from self._read_block(i, tag=tag, pattern=SEQ).entries()
+        return chain.from_iterable(
+            self._read_block(i, tag=tag, pattern=SEQ).entries()
+            for i in range(len(self._block_locs)))
 
     def entries_from(self, start: bytes, tag: str) -> Iterator[tuple[bytes, int, bytes]]:
         """Records with key >= start, in key order."""
+        return chain.from_iterable(self._blocks_from(start, tag))
+
+    def _blocks_from(self, start: bytes, tag: str) -> Iterator[Iterator[tuple[bytes, int, bytes]]]:
+        # Blocks are read one at a time, as the consumer reaches them: the
+        # first (a seek) when the first record is pulled, each later one
+        # (sequential) when the previous block runs out.
         if start > self.largest:
             return
         i = bisect_left(self._block_last_keys, start)
         if i >= len(self._block_locs):
             return
         first = self._read_block(i, tag=tag)
-        yield from first.entries(first.lower_bound(start))
+        yield first.entries(first.lower_bound(start))
         for j in range(i + 1, len(self._block_locs)):
-            yield from self._read_block(j, tag=tag, pattern=SEQ).entries()
+            yield self._read_block(j, tag=tag, pattern=SEQ).entries()
 
     def meta(self) -> TableMeta:
         return TableMeta(self.name, self.smallest, self.largest,

@@ -25,7 +25,8 @@ from repro.env.storage import SimulatedDisk
 from repro.obs import MetricsRegistry
 
 _REC_HDR = struct.Struct("<III")
-_PTR = struct.Struct("<IIQI")
+#: encoded :class:`ValuePointer`: partition, log number, offset, length
+POINTER = struct.Struct("<IIQI")
 
 
 class ValuePointer:
@@ -33,7 +34,7 @@ class ValuePointer:
 
     __slots__ = ("partition", "log_number", "offset", "length")
 
-    ENCODED_SIZE = _PTR.size
+    ENCODED_SIZE = POINTER.size
 
     def __init__(self, partition: int, log_number: int, offset: int, length: int) -> None:
         self.partition = partition
@@ -42,13 +43,13 @@ class ValuePointer:
         self.length = length
 
     def encode(self) -> bytes:
-        return _PTR.pack(self.partition, self.log_number, self.offset, self.length)
+        return POINTER.pack(self.partition, self.log_number, self.offset, self.length)
 
     @classmethod
     def decode(cls, buf: bytes) -> "ValuePointer":
-        if len(buf) != _PTR.size:
+        if len(buf) != POINTER.size:
             raise CorruptionError("bad value-pointer size")
-        return cls(*_PTR.unpack(buf))
+        return cls(*POINTER.unpack(buf))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, ValuePointer)
@@ -105,12 +106,23 @@ class VLogReader:
         self._read_bytes = metrics.counter("vlog_read_bytes_total")
         self._scan_counter = metrics.counter("vlog_scans_total")
 
-    def read_value(self, ptr: ValuePointer, tag: str) -> tuple[bytes, bytes]:
-        """(key, value) at ``ptr`` (one random read)."""
-        record = self._file.read(ptr.offset, ptr.length, tag=tag)
+    def read_value(self, offset: int, length: int, tag: str) -> tuple[bytes, bytes]:
+        """(key, value) of the ``length``-byte record at ``offset`` (one
+        random read), checked against its length and CRC."""
+        record = self._file.read(offset, length, tag=tag)
         self._read_counter.inc()
-        self._read_bytes.inc(ptr.length)
-        return self._decode(record, self.name, ptr.offset)
+        self._read_bytes.inc(length)
+        if len(record) < _REC_HDR.size:
+            raise CorruptionError(f"{self.name}@{offset}: short value-log record")
+        klen, vlen, crc = _REC_HDR.unpack_from(record, 0)
+        key_end = _REC_HDR.size + klen
+        if key_end + vlen != len(record):
+            raise CorruptionError(f"{self.name}@{offset}: value-log record length mismatch")
+        key = record[_REC_HDR.size:key_end]
+        value = record[key_end:]
+        if zlib.crc32(value, zlib.crc32(key)) != crc:
+            raise CorruptionError(f"{self.name}@{offset}: value-log checksum mismatch")
+        return key, value
 
     def scan(self, tag: str) -> Iterator[tuple[bytes, bytes, int, int]]:
         """All (key, value, offset, record_length), sequential read."""
@@ -125,25 +137,12 @@ class VLogReader:
             total = _REC_HDR.size + klen + vlen
             if pos + total > end:
                 raise CorruptionError(f"{self.name}: torn value-log record")
-            key = bytes(buf[pos + _REC_HDR.size:pos + _REC_HDR.size + klen])
-            value = bytes(buf[pos + _REC_HDR.size + klen:pos + total])
-            if zlib.crc32(key + value) != crc:
+            key = buf[pos + _REC_HDR.size:pos + _REC_HDR.size + klen]
+            value = buf[pos + _REC_HDR.size + klen:pos + total]
+            if zlib.crc32(value, zlib.crc32(key)) != crc:
                 raise CorruptionError(f"{self.name}@{pos}: value-log checksum mismatch")
             yield key, value, pos, total
             pos += total
-
-    @staticmethod
-    def _decode(record: bytes, name: str, offset: int) -> tuple[bytes, bytes]:
-        if len(record) < _REC_HDR.size:
-            raise CorruptionError(f"{name}@{offset}: short value-log record")
-        klen, vlen, crc = _REC_HDR.unpack_from(record, 0)
-        if _REC_HDR.size + klen + vlen != len(record):
-            raise CorruptionError(f"{name}@{offset}: value-log record length mismatch")
-        key = record[_REC_HDR.size:_REC_HDR.size + klen]
-        value = record[_REC_HDR.size + klen:]
-        if zlib.crc32(key + value) != crc:
-            raise CorruptionError(f"{name}@{offset}: value-log checksum mismatch")
-        return bytes(key), bytes(value)
 
 
 def vlog_record_size(key: bytes, value: bytes) -> int:

@@ -179,7 +179,9 @@ class SimulatedDisk:
         buf = self._files[name]
         data = bytes(buf[offset:offset + length])
         self.stats.record(READ, pattern, tag, len(data))
-        return self._apply_read_faults(name, offset, data)
+        if self._read_faults:
+            return self._apply_read_faults(name, offset, data)
+        return data
 
     def read_full(self, name: str, tag: str) -> bytes:
         """Stream an entire file (accounted as one sequential read)."""

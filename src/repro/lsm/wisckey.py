@@ -88,7 +88,8 @@ class WiscKeyStore(KVStore):
         if ptr_bytes is None:
             return None
         ptr = ValuePointer.decode(ptr_bytes)
-        __, value = self._vlog_reader(ptr.log_number).read_value(ptr, tag="lookup_value")
+        __, value = self._vlog_reader(ptr.log_number).read_value(
+            ptr.offset, ptr.length, tag="lookup_value")
         return value
 
     def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
@@ -97,7 +98,7 @@ class WiscKeyStore(KVStore):
         for key, ptr_bytes in pairs:
             ptr = ValuePointer.decode(ptr_bytes)
             __, value = self._vlog_reader(ptr.log_number).read_value(
-                ptr, tag=self.scan_value_tag)
+                ptr.offset, ptr.length, tag=self.scan_value_tag)
             out.append((key, value))
         return out
 

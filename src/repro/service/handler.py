@@ -179,8 +179,18 @@ class RequestHandler:
                 Status.OK, protocol.encode_value_body(value))
         if op == Op.SCAN:
             pairs = router.scan(request.key, min(request.count, self.max_scan_items))
-            return protocol.encode_response(
-                Status.OK, protocol.encode_pairs_body(pairs))
+            body = protocol.encode_pairs_body(pairs)
+            if 1 + len(body) > self.max_frame_bytes:
+                # Like max_scan_items, the frame limit makes the reply
+                # short; only a first pair that cannot fit is an error.
+                fit = self._pairs_that_fit(pairs)
+                if fit == 0:
+                    return protocol.encode_response(
+                        Status.TOO_LARGE,
+                        b"first scan pair of %d bytes exceeds frame limit %d"
+                        % (len(pairs[0][0]) + len(pairs[0][1]), self.max_frame_bytes))
+                body = protocol.encode_pairs_body(pairs[:fit])
+            return protocol.encode_response(Status.OK, body)
         if op == Op.STATS:
             return protocol.encode_response(
                 Status.OK, protocol.encode_json_body(self.stats_payload()))
@@ -220,6 +230,16 @@ class RequestHandler:
             self.router.write_batch(request.ops)
         applied = len(request.ops) if request.op == Op.BATCH else 1
         return protocol.encode_response(Status.OK, _U32.pack(applied))
+
+    def _pairs_that_fit(self, pairs: list[tuple[bytes, bytes]]) -> int:
+        """How many leading ``pairs`` an OK reply can carry within
+        ``max_frame_bytes``."""
+        budget = self.max_frame_bytes - 5  # status byte, pair count
+        for i, (key, value) in enumerate(pairs):
+            budget -= 8 + len(key) + len(value)  # two length prefixes
+            if budget < 0:
+                return i
+        return len(pairs)
 
     def _probe_pressure(self, shard_indexes) -> tuple[ShardPressure | None, int]:
         """The most pressured shard and its severity (0 = no pressure).

@@ -238,10 +238,10 @@ def decode_value_body(body: bytes) -> bytes:
 
 
 def encode_pairs_body(pairs: list[tuple[bytes, bytes]]) -> bytes:
-    parts = [_U32.pack(len(pairs))]
+    pack = _U32.pack
+    parts = [pack(len(pairs))]
     for key, value in pairs:
-        parts.append(_pack_bytes(key))
-        parts.append(_pack_bytes(value))
+        parts += (pack(len(key)), key, pack(len(value)), value)
     return b"".join(parts)
 
 

@@ -66,6 +66,26 @@ def test_sorted_store_pointer_key_mismatch_detected():
     store.replace_tables([table])
     with pytest.raises(CorruptionError):
         store.get(b"wanted")
+    # The scan path resolves pointers through the same check.
+    record = next(store.entries_from(b""))
+    with pytest.raises(CorruptionError):
+        store.resolve_pointer(record[0], record[2], tag="scan_value")
+
+
+def test_sorted_store_bad_pointer_size_detected():
+    ctx = make_ctx()
+    store = SortedStore(ctx, partition_id=0)
+    log = ctx.alloc_log_number()
+    writer = VLogWriter(ctx.disk, ctx.log_name(log), partition=0,
+                        log_number=log, tag="test")
+    ptr = writer.append(b"k", b"value").encode()
+    store.replace_tables([build_table(ctx, [(b"k", KIND_VPTR, ptr[:-1])])])
+    with pytest.raises(CorruptionError):
+        store.get(b"k")
+    for bad in (ptr[:-1], ptr + b"\x00", b""):
+        with pytest.raises(CorruptionError):
+            store.resolve_pointer(b"k", bad, tag="scan_value")
+    assert store.resolve_pointer(b"k", ptr, tag="scan_value") == b"value"
 
 
 # -- shared-log reference registry ------------------------------------------------------

@@ -8,6 +8,7 @@ checksum covers at access time) or raise
 one forbidden outcome.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from repro.engine.errors import CorruptionError
 from repro.engine.keys import KIND_VALUE
 from repro.core.manifest import Manifest
 from repro.env import SimulatedDisk
+from repro.env.storage import ReadFault
 from tests.conftest import tiny_unikv_config
 
 
@@ -84,10 +86,10 @@ def test_manifest_replay_never_yields_corrupt_records(position, bit):
     assert replayed == originals[:len(replayed)]
 
 
-@settings(max_examples=15, deadline=None)
-@given(position=st.integers(0, 100_000), bit=st.integers(0, 7),
-       file_index=st.integers(0, 1_000))
-def test_unikv_reads_never_silently_corrupt(position, bit, file_index):
+def _store_with_flipped_data_byte(position: int, bit: int,
+                                  file_index: int) -> tuple[UniKV, dict]:
+    """A flushed tiny store and its model, with one byte flipped in one
+    table or value log and every cache of decoded data dropped."""
     db = UniKV(config=tiny_unikv_config())
     model = {}
     for i in range(600):
@@ -102,6 +104,14 @@ def test_unikv_reads_never_silently_corrupt(position, bit, file_index):
     db.ctx._tables._lru.clear()
     db.ctx._log_readers.clear()
     db.ctx.cache._entries.clear()
+    return db, model
+
+
+@settings(max_examples=15, deadline=None)
+@given(position=st.integers(0, 100_000), bit=st.integers(0, 7),
+       file_index=st.integers(0, 1_000))
+def test_unikv_reads_never_silently_corrupt(position, bit, file_index):
+    db, model = _store_with_flipped_data_byte(position, bit, file_index)
     wrong = 0
     for key, value in model.items():
         try:
@@ -111,3 +121,54 @@ def test_unikv_reads_never_silently_corrupt(position, bit, file_index):
         if got is not None and got != value:
             wrong += 1
     assert wrong == 0, "silent corruption leaked through the checksums"
+
+
+@settings(max_examples=15, deadline=None)
+@given(position=st.integers(0, 100_000), bit=st.integers(0, 7),
+       file_index=st.integers(0, 1_000), start=st.integers(0, 650),
+       count=st.integers(1, 700))
+def test_unikv_scans_never_silently_corrupt(position, bit, file_index, start, count):
+    db, model = _store_with_flipped_data_byte(position, bit, file_index)
+    start_key = f"key-{start:04d}".encode()
+    reads = [lambda: db.scan(start_key, count), lambda: list(db.items(start_key)),
+             lambda: list(db.items(b"", start_key))]
+    for read in reads:
+        try:
+            pairs = read()
+        except CorruptionError:
+            continue
+        # Whatever a scan returns must be true pairs, in key order.
+        assert all(model.get(key) == value for key, value in pairs), \
+            "silent corruption leaked through the checksums"
+        assert [key for key, __ in pairs] == sorted({key for key, __ in pairs})
+
+
+def _store_with_values_in_logs() -> UniKV:
+    db = UniKV(config=tiny_unikv_config())
+    for i in range(400):
+        db.put(f"key-{i:04d}".encode(), f"value-{i:04d}".encode() * 3)
+    db.flush()
+    assert db.disk.list("vlog-"), "the load must move values into value logs"
+    return db
+
+
+def test_read_fault_on_a_value_log_fails_the_scan():
+    db = _store_with_values_in_logs()
+    for name in db.disk.list("vlog-"):
+        db.disk.inject_read_fault(name, 0, db.disk.size(name), mode="error")
+    with pytest.raises(ReadFault):
+        db.scan(b"", 1000)
+    with pytest.raises(ReadFault):
+        list(db.items())
+
+
+def test_flipped_value_log_read_fails_the_scan_with_corruption():
+    db = _store_with_values_in_logs()
+    for name in db.disk.list("vlog-"):
+        db.disk.inject_read_fault(name, 0, db.disk.size(name), mode="flip")
+    with pytest.raises(CorruptionError):
+        db.scan(b"", 1000)
+    with pytest.raises(CorruptionError):
+        list(db.items())
+    db.disk.clear_read_faults()
+    assert len(db.scan(b"", 1000)) == 400

@@ -26,8 +26,8 @@ def test_append_and_random_read():
     p1 = w.append(b"alpha", b"value-one")
     p2 = w.append(b"beta", b"value-two")
     r = VLogReader(disk, "vlog-0")
-    assert r.read_value(p1, tag="lookup") == (b"alpha", b"value-one")
-    assert r.read_value(p2, tag="lookup") == (b"beta", b"value-two")
+    assert r.read_value(p1.offset, p1.length, tag="lookup") == (b"alpha", b"value-one")
+    assert r.read_value(p2.offset, p2.length, tag="lookup") == (b"beta", b"value-two")
     assert p1.partition == 0 and p1.log_number == 0
     assert p2.offset == p1.offset + p1.length
 
@@ -63,7 +63,7 @@ def test_read_value_detects_length_mismatch():
     ptr = w.append(b"k", b"value")
     bad = ValuePointer(ptr.partition, ptr.log_number, ptr.offset, ptr.length - 2)
     with pytest.raises(CorruptionError):
-        VLogReader(disk, "v").read_value(bad, tag="lookup")
+        VLogReader(disk, "v").read_value(bad.offset, bad.length, tag="lookup")
 
 
 def test_empty_log_scan():
