@@ -16,15 +16,16 @@ from repro.bench.experiments import (
 )
 
 
-def main() -> None:
-    n = 8000
+def main(num_records: int = 8000) -> None:
+    n = num_records
     print(run_e3_load(num_records=n).text)
     print(run_e4_read(num_records=n, reads=1500).text)
     print(run_e5_scan(num_records=n, scans=100).text)
     print(run_e6_update(num_records=n, updates=10000).text)
     print("Expected shape (paper Fig. 7): UniKV leads load, read and update;")
     print("scans are comparable to LevelDB thanks to the size-based merge and")
-    print("parallel value fetch; PebblesDB trades scan speed for write cost.")
+    print("value-log readahead (one read per run of neighbouring values);")
+    print("PebblesDB trades scan speed for write cost.")
 
 
 if __name__ == "__main__":

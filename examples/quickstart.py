@@ -48,8 +48,7 @@ def main() -> None:
     print("  partitions        :", db2.num_partitions())
 
     # -- custom configuration ------------------------------------------------------
-    custom = UniKV(config=UniKVConfig(memtable_size=64 * 1024,
-                                      scan_parallelism=32.0))
+    custom = UniKV(config=UniKVConfig(memtable_size=64 * 1024))
     custom.put(b"k", b"v")
     print("\ncustom-config store works:", custom.get(b"k"))
 

@@ -26,26 +26,19 @@ def _overlapped_scheduler(store: KVStore):
 def effective_cost_model(store: KVStore, base: DeviceCostModel) -> DeviceCostModel:
     """Apply an engine's background/parallel I/O behaviour to the model.
 
-    * ``compaction_parallelism`` (RocksDB's multi-threaded compaction)
-      divides the ``compaction`` tag's time — only while the store's
-      maintenance scheduler is synchronous; with background lanes the
-      scheduler models the overlap explicitly and the blanket divisor
-      would double-count it;
-    * ``config.scan_parallelism`` (UniKV's 32-thread value fetch pool +
-      readahead) divides the ``scan_value`` tag's time — a foreground
-      read-path property, applied in every mode.
+    ``compaction_parallelism`` (RocksDB's multi-threaded compaction)
+    divides the ``compaction`` tag's time — only while the store's
+    maintenance scheduler is synchronous; with background lanes the
+    scheduler models the overlap explicitly and the blanket divisor would
+    double-count it.  Foreground reads get no divisor: UniKV's parallel
+    scan value fetch is real readahead I/O
+    (:func:`~repro.engine.vlog.fetch_values`), priced by the device.
     """
-    model = base
     if _overlapped_scheduler(store) is None:
         compaction = getattr(store, "compaction_parallelism", None)
         if compaction:
-            model = model.with_parallelism(compaction=float(compaction))
-    config = getattr(store, "config", None)
-    scan_par = getattr(config, "scan_parallelism", None)
-    if scan_par:
-        tag = getattr(store, "scan_value_tag", "scan_value")
-        model = model.with_parallelism(**{tag: float(scan_par)})
-    return model
+            return base.with_parallelism(compaction=float(compaction))
+    return base
 
 
 def execute_ops(store: KVStore, ops: Iterable[tuple]) -> tuple[int, int]:

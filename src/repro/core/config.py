@@ -58,10 +58,6 @@ class UniKVConfig:
     #: merge all UnsortedStore tables into one once this many accumulate
     #: (the paper's scanMergeLimit); 0 disables the size-based merge
     scan_merge_limit: int = 3
-    #: modelled thread-pool width for parallel value fetches during scans
-    #: (the paper uses a 32-thread pool + readahead); applied by the bench
-    #: harness to the "scan_value" I/O tag
-    scan_parallelism: float = 8.0
 
     # -- crash consistency ----------------------------------------------------------------
     #: checkpoint a partition's hash index every N flushes

@@ -97,7 +97,9 @@ class SortedStore:
     # -- iteration ---------------------------------------------------------------------
 
     def entries_from(self, start: bytes, tag: str = "scan") -> Iterator[Record]:
-        """(key, KIND_VPTR, pointer bytes) with key >= start, sorted."""
+        """Records with key >= start, sorted: ``(key, KIND_VPTR, pointer
+        bytes)``, and with ``inline_value_threshold > 0`` also
+        ``(key, KIND_VALUE, value)`` for values kept inline."""
         return chain.from_iterable(self._tables_from(start, tag))
 
     def _tables_from(self, start: bytes, tag: str) -> Iterator[Iterator[Record]]:

@@ -35,6 +35,7 @@ from repro.engine.iterators import merge_sorted
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE, KIND_VPTR
 from repro.engine.memtable import MemTable
 from repro.engine.sstable import SSTableBuilder
+from repro.engine.vlog import fetch_values
 from repro.engine.wal import WalWriter
 from repro.core.config import UniKVConfig
 from repro.core.context import StoreContext
@@ -50,6 +51,9 @@ from repro.runtime.scheduler import Job
 
 Record = tuple[bytes, int, bytes]
 
+#: records per value fetch of :meth:`UniKV.items`
+ITEMS_WINDOW = 64
+
 
 class UniKV(KVStore):
     """Unified hash/LSM-indexed KV store (the paper's system)."""
@@ -57,8 +61,8 @@ class UniKV(KVStore):
     name = "UniKV"
     #: class-level default so recovered instances are "open" too
     _closed = False
-    #: scans fetch values through this tag; the bench harness parallelizes it
-    #: (the paper's 32-thread fetch pool + readahead)
+    #: I/O tag of the readahead runs a scan fetches its values with (the
+    #: paper's 32-thread fetch pool + readahead, as device reads)
     scan_value_tag = "scan_value"
 
     def __init__(self, disk: SimulatedDisk | None = None,
@@ -194,8 +198,11 @@ class UniKV(KVStore):
 
         Within each partition this runs seek()/next() over the memtable,
         every UnsortedStore table (their ranges overlap) and the SortedStore
-        run; pointer values are fetched through the parallel-fetch tag.
-        Partitions are disjoint and sorted, so they are consumed in order.
+        run.  Partitions are disjoint and sorted, so they are consumed in
+        order.  Once the merge has picked the ``count`` result records,
+        their value pointers are fetched together with readahead
+        (:func:`~repro.engine.vlog.fetch_values`): one device read per run
+        of neighbouring value-log records.
         """
         if not self.config.metrics_enabled:
             return self._scan(start, count)
@@ -207,35 +214,25 @@ class UniKV(KVStore):
         return out
 
     def _scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
-        # islice stops pulling after ``count`` pairs, so a scan reads
-        # exactly what it returns (plus the merge's lookahead).
-        return list(islice(self.items(start), count)) if count > 0 else []
+        # islice stops pulling after ``count`` records, so a scan fetches
+        # exactly the values it returns (blocks: plus the merge's lookahead).
+        if count <= 0:
+            return []
+        return self._with_values(list(islice(self._live_records(start, None), count)))
 
     def items(self, start: bytes = b"",
               end: bytes | None = None) -> Iterator[tuple[bytes, bytes]]:
         """Stream live (key, value) pairs with start <= key < end, sorted.
 
-        A lazy alternative to :meth:`scan` for unbounded iteration.  The
-        store must not be mutated while the iterator is live (single-writer
-        discipline, as in LevelDB iterators without snapshots).
+        A lazy alternative to :meth:`scan` for unbounded iteration; values
+        are fetched like a scan's, :data:`ITEMS_WINDOW` records at a time.
+        The store must not be mutated while the iterator is live
+        (single-writer discipline, as in LevelDB iterators without
+        snapshots).
         """
-        tag = self.scan_value_tag
-        start_index = self._partition_index(start)
-        for pi in range(start_index, len(self.partitions)):
-            partition = self.partitions[pi]
-            if end is not None and partition.lower >= end:
-                return
-            lo = max(start, partition.lower)
-            hi = (self.partitions[pi + 1].lower
-                  if pi + 1 < len(self.partitions) else None)
-            resolve = partition.sorted.resolve_pointer
-            for key, kind, payload in self._partition_scan(partition, lo, hi):
-                if end is not None and key >= end:
-                    return
-                if kind == KIND_VPTR:
-                    yield key, resolve(key, payload, tag)
-                elif kind != KIND_TOMBSTONE:
-                    yield key, payload
+        records = self._live_records(start, end)
+        while window := list(islice(records, ITEMS_WINDOW)):
+            yield from self._with_values(window)
 
     def flush(self) -> None:
         """Flush every partition's memtable and run triggered maintenance."""
@@ -447,6 +444,31 @@ class UniKV(KVStore):
             self.ctx.disk.delete(prior[0])
 
     # -- scans ----------------------------------------------------------------------------
+
+    def _live_records(self, start: bytes, end: bytes | None) -> Iterator[Record]:
+        """The merged records with start <= key < end, tombstones dropped;
+        a SortedStore value is still its pointer (``KIND_VPTR``)."""
+        start_index = self._partition_index(start)
+        for pi in range(start_index, len(self.partitions)):
+            partition = self.partitions[pi]
+            if end is not None and partition.lower >= end:
+                return
+            lo = max(start, partition.lower)
+            hi = (self.partitions[pi + 1].lower
+                  if pi + 1 < len(self.partitions) else None)
+            for record in self._partition_scan(partition, lo, hi):
+                if end is not None and record[0] >= end:
+                    return
+                if record[1] != KIND_TOMBSTONE:
+                    yield record
+
+    def _with_values(self, records: list[Record]) -> list[tuple[bytes, bytes]]:
+        """``records`` as (key, value) pairs, their pointers fetched with
+        readahead in one batch."""
+        wanted = [(key, payload) for key, kind, payload in records if kind == KIND_VPTR]
+        values = iter(fetch_values(self.ctx.log_reader, wanted, self.scan_value_tag))
+        return [(key, next(values) if kind == KIND_VPTR else payload)
+                for key, kind, payload in records]
 
     def _partition_scan(self, partition: Partition, lo: bytes,
                         hi: bytes | None) -> Iterator[Record]:

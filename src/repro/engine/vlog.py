@@ -12,13 +12,16 @@ Record layout::
 Pointer layout (matches the paper's <partition, logNumber, offset, length>)::
 
     [partition (4B)] [log number (4B)] [offset (8B)] [length (4B)]
+
+Point lookups read one record (:meth:`VLogReader.read_value`); scans fetch
+all their values at once with readahead (:func:`fetch_values`).
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.engine.errors import CorruptionError
 from repro.env.storage import SimulatedDisk
@@ -27,6 +30,10 @@ from repro.obs import MetricsRegistry
 _REC_HDR = struct.Struct("<III")
 #: encoded :class:`ValuePointer`: partition, log number, offset, length
 POINTER = struct.Struct("<IIQI")
+#: scan readahead window: a record that starts at most this many bytes
+#: after the previous one ends (same log) joins its device read, and the
+#: skipped gap bytes are read and charged too
+READAHEAD_GAP = 4 * 1024
 
 
 class ValuePointer:
@@ -112,17 +119,15 @@ class VLogReader:
         record = self._file.read(offset, length, tag=tag)
         self._read_counter.inc()
         self._read_bytes.inc(length)
-        if len(record) < _REC_HDR.size:
-            raise CorruptionError(f"{self.name}@{offset}: short value-log record")
-        klen, vlen, crc = _REC_HDR.unpack_from(record, 0)
-        key_end = _REC_HDR.size + klen
-        if key_end + vlen != len(record):
-            raise CorruptionError(f"{self.name}@{offset}: value-log record length mismatch")
-        key = record[_REC_HDR.size:key_end]
-        value = record[key_end:]
-        if zlib.crc32(value, zlib.crc32(key)) != crc:
-            raise CorruptionError(f"{self.name}@{offset}: value-log checksum mismatch")
-        return key, value
+        return _decode(record, 0, len(record), self.name, offset)
+
+    def read_run(self, start: int, end: int, tag: str) -> bytes:
+        """Bytes ``[start, end)`` in one random read (a readahead run); a
+        run past the end of the log comes back short."""
+        run = self._file.read(start, end - start, tag=tag)
+        self._read_counter.inc()
+        self._read_bytes.inc(end - start)
+        return run
 
     def scan(self, tag: str) -> Iterator[tuple[bytes, bytes, int, int]]:
         """All (key, value, offset, record_length), sequential read."""
@@ -143,6 +148,69 @@ class VLogReader:
                 raise CorruptionError(f"{self.name}@{pos}: value-log checksum mismatch")
             yield key, value, pos, total
             pos += total
+
+
+def _decode(buf: bytes, pos: int, size: int, name: str,
+            offset: int) -> tuple[bytes, bytes]:
+    """(key, value) of the ``size``-byte record at ``buf[pos:]``, checked
+    against its header's lengths and its CRC."""
+    if size < _REC_HDR.size:
+        raise CorruptionError(f"{name}@{offset}: short value-log record")
+    klen, vlen, crc = _REC_HDR.unpack_from(buf, pos)
+    key_end = pos + _REC_HDR.size + klen
+    if _REC_HDR.size + klen + vlen != size:
+        raise CorruptionError(f"{name}@{offset}: value-log record length mismatch")
+    key = buf[pos + _REC_HDR.size:key_end]
+    value = buf[key_end:pos + size]
+    if zlib.crc32(value, zlib.crc32(key)) != crc:
+        raise CorruptionError(f"{name}@{offset}: value-log checksum mismatch")
+    return key, value
+
+
+def fetch_values(reader_for: Callable[[int], VLogReader],
+                 wanted: list[tuple[bytes, bytes]], tag: str) -> list[bytes]:
+    """The values of ``wanted``, (key, pointer bytes) pairs, in order.
+
+    A scan's readahead: the pointers are sorted by (log, offset), all at
+    once as the paper's parallel fetch issues them, and each run of
+    neighbours (:data:`READAHEAD_GAP`) is one :meth:`VLogReader.read_run`.
+    Every record sliced out of a run gets the checks of
+    :meth:`VLogReader.read_value`, and must be stored under its key.
+    """
+    spans = []
+    for i, (__, ptr) in enumerate(wanted):
+        if len(ptr) != POINTER.size:
+            raise CorruptionError("bad value-pointer size")
+        __, log_number, offset, length = POINTER.unpack(ptr)
+        spans.append((log_number, offset, length, i))
+    spans.sort()
+    values: list[bytes] = [b""] * len(wanted)
+    n = len(spans)
+    j = 0
+    while j < n:
+        log_number, start, length, __ = spans[j]
+        end = start + length
+        k = j + 1
+        while k < n:
+            nxt_log, nxt_offset, nxt_length, __ = spans[k]
+            if nxt_log != log_number or nxt_offset > end + READAHEAD_GAP:
+                break
+            end = max(end, nxt_offset + nxt_length)
+            k += 1
+        reader = reader_for(log_number)
+        run = reader.read_run(start, end, tag)
+        for __, offset, length, i in spans[j:k]:
+            pos = offset - start
+            # Checked against the bytes a lone read of this record returns.
+            stored_key, value = _decode(run, pos, min(length, len(run) - pos),
+                                        reader.name, offset)
+            key = wanted[i][0]
+            if stored_key != key:
+                raise CorruptionError(
+                    f"value-log key mismatch: wanted {key!r}, found {stored_key!r}")
+            values[i] = value
+        j = k
+    return values
 
 
 def vlog_record_size(key: bytes, value: bytes) -> int:

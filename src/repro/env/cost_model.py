@@ -10,10 +10,10 @@ in the paper's testbed (hundreds of MB/s sequential, ~10k-100k IOPS random):
 * random write (unused by the log-structured engines here, kept for
   completeness) ~ 100 us per op + streaming at seq-write rate
 
-Background work (compaction, GC, flush) and batched parallel reads (UniKV's
-32-thread scan value fetch, RocksDB's multi-threaded compaction) are modelled
-by dividing a tag's time by a parallelism factor, mirroring how those designs
-overlap device time in the real systems.
+Multi-threaded background work (RocksDB's compaction) is modelled by
+dividing a tag's time by a parallelism factor, mirroring how that design
+overlaps device time in the real system.  UniKV's parallel scan value fetch
+is not a factor: it issues fewer, larger reads (readahead runs).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.engine.vlog import ValuePointer, VLogReader, VLogWriter
+from repro.engine.vlog import ValuePointer, VLogReader, VLogWriter, fetch_values
 from repro.env.storage import SimulatedDisk
 from repro.lsm.base import KVStore, LSMConfig
 from repro.lsm.leveldb import LevelDBStore
@@ -38,7 +38,7 @@ class WiscKeyStore(KVStore):
     """KV separation with a circular value log and tail-order GC."""
 
     name = "WiscKey"
-    #: scans batch value fetches; the harness may parallelize this tag
+    #: I/O tag of the readahead runs a scan fetches its values with
     scan_value_tag = "scan_value"
 
     def __init__(self, disk: SimulatedDisk | None = None,
@@ -93,14 +93,10 @@ class WiscKeyStore(KVStore):
         return value
 
     def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
+        # WiscKey's range query prefetches every value at once: readahead.
         pairs = self._index.scan(start, count)
-        out: list[tuple[bytes, bytes]] = []
-        for key, ptr_bytes in pairs:
-            ptr = ValuePointer.decode(ptr_bytes)
-            __, value = self._vlog_reader(ptr.log_number).read_value(
-                ptr.offset, ptr.length, tag=self.scan_value_tag)
-            out.append((key, value))
-        return out
+        values = fetch_values(self._vlog_reader, pairs, self.scan_value_tag)
+        return [(key, value) for (key, __), value in zip(pairs, values)]
 
     def flush(self) -> None:
         self._index.flush()

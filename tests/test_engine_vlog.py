@@ -1,10 +1,13 @@
 """Unit tests for value logs and pointers."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro.engine import ValuePointer, VLogReader, VLogWriter
 from repro.engine.errors import CorruptionError
-from repro.engine.vlog import vlog_record_size
+from repro.engine.vlog import READAHEAD_GAP, fetch_values, vlog_record_size
 from repro.env import SimulatedDisk
 
 
@@ -70,3 +73,39 @@ def test_empty_log_scan():
     disk = SimulatedDisk()
     VLogWriter(disk, "v", partition=0, log_number=0, tag="t")
     assert list(VLogReader(disk, "v").scan(tag="gc")) == []
+
+
+@pytest.mark.parametrize("gap, reads", [(READAHEAD_GAP, 1), (READAHEAD_GAP + 1, 2)])
+def test_fetch_values_reads_each_run_of_neighbours_once(gap, reads):
+    # a, then a filler record of exactly ``gap`` bytes, then b; c and d
+    # sit in a second log.
+    disk = SimulatedDisk()
+    w = VLogWriter(disk, "v0", partition=0, log_number=0, tag="t")
+    a = w.append(b"a", b"1" * 10)
+    w.append(b"f", b"x" * (gap - vlog_record_size(b"f", b"")))
+    b = w.append(b"b", b"2" * 10)
+    w2 = VLogWriter(disk, "v1", partition=0, log_number=1, tag="t")
+    c = w2.append(b"c", b"3")
+    d = w2.append(b"d", b"4")
+    readers = {0: VLogReader(disk, "v0"), 1: VLogReader(disk, "v1")}
+    wanted = [(b"d", d.encode()), (b"b", b.encode()), (b"a", a.encode()),
+              (b"c", c.encode())]
+    before = disk.stats.snapshot()
+    values = fetch_values(readers.get, wanted, tag="scan_value")
+    assert values == [b"4", b"2" * 10, b"1" * 10, b"3"]
+    rec = disk.stats.delta_since(before).records[("read", "rand", "scan_value")]
+    # one read for c+d, and a..b as one run (gap bytes charged) or two
+    span = b.offset + b.length - a.offset
+    expected_bytes = c.length + d.length + (span if reads == 1 else a.length + b.length)
+    assert (rec.ops, rec.bytes) == (1 + reads, expected_bytes)
+
+
+def test_fetch_values_detects_header_length_disagreeing_with_pointer():
+    # The checksum covers the bytes the pointer spans, but the header
+    # declares a shorter value: only the length check catches it.
+    disk = SimulatedDisk()
+    record = struct.pack("<III", 1, 3, zlib.crc32(b"k" + b"value")) + b"k" + b"value"
+    disk.create("v").append(record, tag="t")
+    ptr = ValuePointer(0, 0, 0, len(record))
+    with pytest.raises(CorruptionError):
+        fetch_values(lambda n: VLogReader(disk, "v"), [(b"k", ptr.encode())], tag="scan")

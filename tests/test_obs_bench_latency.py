@@ -9,10 +9,12 @@ rank-based percentiles within the histogram's relative error.
 """
 
 import math
+import random
 
 import pytest
 
 from repro.bench import run_workload
+from repro.bench.runner import DEFAULT_CPU_US_PER_OP
 from repro.core import UniKV
 from repro.obs import DEFAULT_RELATIVE_ERROR, LogHistogram
 from repro.workloads import load_phase, ycsb_run
@@ -81,3 +83,23 @@ def test_latency_memory_is_bounded_by_buckets_not_samples():
     # The whole point of the change: storage grows with distinct latency
     # magnitudes (log buckets), not with the op count.
     assert len(hist.buckets) < 300
+
+
+def test_scan_latency_is_one_clock_for_bench_and_store():
+    # The bench's per-op latency and the store's own op span price a scan
+    # with the same device model: they differ only by the bench's fixed CPU
+    # cost per op, within the histograms' bucket error.
+    rng = random.Random(11)
+    db = UniKV()
+    load = [("insert", b"user%08d" % rng.randrange(60_000), rng.randbytes(100))
+            for __ in range(30_000)]
+    run_workload(db, load, phase="load")
+    scans = [("scan", b"user%08d" % rng.randrange(60_000), 50) for __ in range(300)]
+    metrics = run_workload(db, scans, phase="scan", collect_latencies=True)
+    store_hist = db.metrics.histogram("unikv_op_seconds", op="scan")
+    assert store_hist.count == len(scans)
+    for pct in (50.0, 99.0):
+        bench_us = metrics.latency_us("scan", pct)
+        store_us = store_hist.quantile(pct / 100.0) * 1e6
+        assert abs(bench_us - store_us) <= (DEFAULT_RELATIVE_ERROR * store_us
+                                            + DEFAULT_CPU_US_PER_OP), (pct, bench_us, store_us)

@@ -128,10 +128,10 @@ EXPECTED: dict = {
             "hash_false_positive_probes": 0,
         },
         "after_load": (0.0037551283836364485, (0, 0, 0, 3010)),
-        "after_scans": (0.29126810087203464, (3204, 189316, 205, 4871)),
+        "after_scans": (0.055642828426360376, (258, 218009, 205, 4871)),
         "io": {
             ("read", "rand", "scan"): (185, 26467),
-            ("read", "rand", "scan_value"): (3204, 189316),
+            ("read", "rand", "scan_value"): (258, 218009),
             ("read", "rand", "table_open"): (194, 17591),
             ("read", "seq", "gc"): (599, 205185),
             ("read", "seq", "merge"): (975, 137039),
@@ -160,10 +160,10 @@ EXPECTED: dict = {
             "hash_false_positive_probes": 0,
         },
         "after_load": (0.0039032292366028283, (0, 0, 0, 3015)),
-        "after_scans": (0.4369121747016768, (5035, 265141, 191, 4813)),
+        "after_scans": (0.06452655984878473, (379, 314626, 191, 4813)),
         "io": {
             ("read", "rand", "scan"): (165, 25135),
-            ("read", "rand", "scan_value"): (5035, 265141),
+            ("read", "rand", "scan_value"): (379, 314626),
             ("read", "rand", "table_open"): (200, 17600),
             ("read", "seq", "gc"): (571, 229912),
             ("read", "seq", "merge"): (821, 114453),
@@ -192,10 +192,10 @@ EXPECTED: dict = {
             "hash_false_positive_probes": 0,
         },
         "after_load": (0.0036600089073180304, (0, 0, 0, 2750)),
-        "after_scans": (0.3925541071128831, (4429, 233488, 211, 4657)),
+        "after_scans": (0.0619995258140572, (296, 278272, 211, 4657)),
         "io": {
             ("read", "rand", "scan"): (230, 32469),
-            ("read", "rand", "scan_value"): (4429, 233488),
+            ("read", "rand", "scan_value"): (296, 278272),
             ("read", "rand", "table_open"): (190, 17435),
             ("read", "seq", "gc"): (550, 231272),
             ("read", "seq", "merge"): (795, 110878),
