@@ -14,8 +14,9 @@ can drive over a connection, one modular layer at a time:
   shard scheduler's stall count;
 * :mod:`repro.service.server` — its :class:`asyncio` TCP transport, with
   per-connection pipelining and graceful drain on shutdown;
-* :mod:`repro.service.client` — sync and async clients with connection
-  reuse, pipelining, client-side batching and retry-with-backoff.
+* :mod:`repro.service.client` — one sans-IO client core (calls, reply
+  ordering, retry-with-backoff, client-side batching) under sync and async
+  clients with connection reuse and pipelining.
 
 Start a server from the CLI with ``python -m repro serve --shards 2`` and
 poke it with ``python -m repro.service.client --port 7711 put k v``.

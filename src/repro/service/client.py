@@ -1,13 +1,14 @@
-"""Clients for the serving layer: a blocking socket client and an
-asyncio client, sharing the wire protocol and retry policy.
+"""Clients for the serving layer: one sans-IO :class:`ClientCore` under a
+blocking socket client, an asyncio client and the chaos simulator's client.
 
-Both reuse one connection across requests, decode responses with the
-incremental :class:`~repro.service.protocol.FrameDecoder` (no assumption
-that a ``recv`` returns a whole frame), and retry transient failures —
-``Status.RETRY`` backpressure responses, timeouts, dropped connections —
-with exponential backoff.  The async client additionally pipelines:
-concurrent requests share the connection and are matched to responses by
-order, the contract the server guarantees.
+The core encodes calls, matches replies to requests per connection
+(:class:`Pipeline`, the order the server guarantees), retries transient
+failures — ``Status.RETRY`` backpressure responses, timeouts, dropped
+connections — with exponential backoff, and unpacks replies.  The
+transports only move bytes and wait.  Both socket clients reuse one
+connection, decoding responses incrementally (no assumption that a
+``recv`` returns a whole frame); the async client additionally pipelines
+concurrent requests over it.
 
 Run ``python -m repro.service.client --port 7711 put greeting hello`` for
 a command-line smoke client.
@@ -95,30 +96,35 @@ class Batcher:
             batch.put(b"k", b"v")
     """
 
-    def __init__(self, client: "KVClient", max_ops: int = 128) -> None:
+    def __init__(self, client: "ClientCore", max_ops: int = 128) -> None:
         self._client = client
         self.max_ops = max_ops
         self.ops: list[tuple] = []
         self.flushes = 0
 
-    def put(self, key: bytes, value: bytes) -> None:
-        self.ops.append(("put", key, value))
-        self._maybe_flush()
+    # put, delete and flush return what ``_send`` does (an AsyncBatcher's is awaitable)
+    def put(self, key: bytes, value: bytes):
+        return self._send(self._push(("put", key, value)))
 
-    def delete(self, key: bytes) -> None:
-        self.ops.append(("delete", key))
-        self._maybe_flush()
+    def delete(self, key: bytes):
+        return self._send(self._push(("delete", key)))
 
-    def _maybe_flush(self) -> None:
-        if len(self.ops) >= self.max_ops:
-            self.flush()
+    def flush(self):
+        return self._send(self._take())
 
-    def flush(self) -> int:
-        if not self.ops:
-            return 0
+    def _push(self, op: tuple) -> list[tuple]:
+        """Buffer ``op``; the ops to send now (none until the buffer fills)."""
+        self.ops.append(op)
+        return self._take() if len(self.ops) >= self.max_ops else []
+
+    def _take(self) -> list[tuple]:
         ops, self.ops = self.ops, []
-        self.flushes += 1
-        return self._client.write_batch(ops)
+        if ops:
+            self.flushes += 1
+        return ops
+
+    def _send(self, ops: list[tuple]) -> int:
+        return self._client.write_batch(ops) if ops else 0
 
     def __enter__(self) -> "Batcher":
         return self
@@ -128,33 +134,11 @@ class Batcher:
             self.flush()
 
 
-class AsyncBatcher:
+class AsyncBatcher(Batcher):
     """Async twin of :class:`Batcher` (``async with`` flushes the tail)."""
 
-    def __init__(self, client: "AsyncKVClient", max_ops: int = 128) -> None:
-        self._client = client
-        self.max_ops = max_ops
-        self.ops: list[tuple] = []
-        self.flushes = 0
-
-    async def put(self, key: bytes, value: bytes) -> None:
-        self.ops.append(("put", key, value))
-        await self._maybe_flush()
-
-    async def delete(self, key: bytes) -> None:
-        self.ops.append(("delete", key))
-        await self._maybe_flush()
-
-    async def _maybe_flush(self) -> None:
-        if len(self.ops) >= self.max_ops:
-            await self.flush()
-
-    async def flush(self) -> int:
-        if not self.ops:
-            return 0
-        ops, self.ops = self.ops, []
-        self.flushes += 1
-        return await self._client.write_batch(ops)
+    async def _send(self, ops: list[tuple]) -> int:
+        return await self._client.write_batch(ops) if ops else 0
 
     async def __aenter__(self) -> "AsyncBatcher":
         return self
@@ -162,9 +146,6 @@ class AsyncBatcher:
     async def __aexit__(self, exc_type, *exc) -> None:
         if exc_type is None:
             await self.flush()
-
-
-# -- response unpacking shared by both clients ------------------------------------------
 
 
 def _unpack(op_name: str, status: Status, body: bytes):
@@ -183,8 +164,45 @@ def _unpack(op_name: str, status: Status, body: bytes):
     raise ServerError(status, body.decode("utf-8", "replace"))
 
 
-class KVClient:
-    """Blocking client over one reused TCP connection."""
+# -- the sans-IO core -------------------------------------------------------------------
+
+
+class Pipeline:
+    """One connection's request order: the server answers in arrival order,
+    so a reply belongs to the oldest pending request.  The queue lives and
+    dies with its connection, so a reply never reaches a request sent on
+    another one."""
+
+    def __init__(self, max_frame_bytes: int) -> None:
+        #: the transport's handle (socket, connect task, chaos connection)
+        self.transport = None
+        #: one waiter per request sent and not yet answered, oldest first
+        self.pending: deque = deque()
+        self._decoder = FrameDecoder(max_frame_bytes)
+
+    def feed(self, data: bytes) -> list[tuple[object, bytes | FrameTooLarge]]:
+        """(waiter, reply frame) for each reply ``data`` completes."""
+        if not data:
+            raise ConnectionError("server closed the connection")
+        return self.deliver(self._decoder.feed(data))
+
+    def deliver(self, frames: list) -> list[tuple[object, bytes | FrameTooLarge]]:
+        """:meth:`feed` for already reassembled reply frames."""
+        if len(frames) > len(self.pending):
+            raise ProtocolError("unsolicited response frame")
+        return [(self.pending.popleft(), frame) for frame in frames]
+
+
+class ClientCore:
+    """Everything a client does except move bytes and wait: encode calls,
+    order each connection's requests, retry, back off and unpack replies.
+
+    On the bare core each API method returns the call's :meth:`attempts`
+    generator for the caller to drive; a transport overrides ``_call`` to
+    drive it and implements ``_open`` (``host``, ``port``, ``timeout``).
+    """
+
+    _batcher = Batcher
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7711, *,
                  timeout: float = 5.0, retry: RetryPolicy | None = None,
@@ -194,62 +212,55 @@ class KVClient:
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.max_frame_bytes = max_frame_bytes
-        self._sock: socket.socket | None = None
-        self._decoder = FrameDecoder(max_frame_bytes)
-        self._frames: deque = deque()
         #: transient-failure retries performed (the backoff path's odometer)
         self.total_retries = 0
+        self._pipeline: Pipeline | None = None
 
-    # -- connection management --------------------------------------------------------
+    # -- connections ------------------------------------------------------------------
 
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout)
-            self._decoder = FrameDecoder(self.max_frame_bytes)
-            self._frames.clear()
-        return self._sock
+    def pipeline(self) -> Pipeline:
+        """The current pipeline.  After a drop the next caller gets a new
+        one and the transport's ``_open`` starts its connection; later
+        callers share it, so one connect is in flight at a time."""
+        if self._pipeline is None:
+            self._pipeline = Pipeline(self.max_frame_bytes)
+            self._pipeline.transport = self._open(self._pipeline)
+        return self._pipeline
 
-    def close(self) -> None:
-        if self._sock is not None:
-            with contextlib.suppress(OSError):
-                self._sock.close()
-            self._sock = None
+    def drop(self, pipe: Pipeline) -> deque:
+        """Retire ``pipe`` after a failure; returns its pending waiters."""
+        if self._pipeline is pipe:
+            self._pipeline = None
+        pending, pipe.pending = pipe.pending, deque()
+        return pending
 
-    def __enter__(self) -> "KVClient":
-        return self
+    # -- calls ------------------------------------------------------------------------
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def attempts(self, op_name: str, frame: bytes):
+        """One call's retry loop, as a generator the transport drives.
 
-    # -- request plumbing -------------------------------------------------------------
-
-    def _read_frame(self, sock: socket.socket) -> bytes:
-        while not self._frames:
-            data = sock.recv(64 * 1024)
-            if not data:
-                raise ConnectionError("server closed the connection")
-            self._frames.extend(self._decoder.feed(data))
-        item = self._frames.popleft()
-        if isinstance(item, FrameTooLarge):
-            raise ProtocolError(f"server response of {item.declared_size} "
-                                f"bytes exceeds the frame limit")
-        return item
-
-    def _call(self, op_name: str, frame_bytes: bytes):
+        Yields ``frame`` to send, and before each retry the backoff in
+        seconds; is sent back each attempt's outcome: the reply frame, a
+        :class:`FrameTooLarge` marker or the transport's exception.
+        Returns the unpacked result, or raises :class:`ServerError`,
+        :class:`ProtocolError`, or :class:`TransientError` once the
+        retries are spent.
+        """
         last: Exception | None = None
         for attempt in range(self.retry.retries + 1):
             if attempt:
                 self.total_retries += 1
-                time.sleep(self.retry.delay(attempt - 1))
-            try:
-                sock = self._connect()
-                sock.sendall(frame_bytes)
-                status, body = protocol.decode_response(self._read_frame(sock))
-            except (OSError, ConnectionError) as exc:
-                self.close()
-                last = exc
+                yield self.retry.delay(attempt - 1)
+            outcome = yield frame
+            if isinstance(outcome, FrameTooLarge):
+                raise ProtocolError(f"server response of {outcome.declared_size} "
+                                    f"bytes exceeds the frame limit")
+            if isinstance(outcome, ProtocolError):
+                raise outcome
+            if isinstance(outcome, Exception):
+                last = outcome
                 continue
+            status, body = protocol.decode_response(outcome)
             if status in RETRYABLE_STATUSES:
                 last = TransientError(body.decode("utf-8", "replace"))
                 continue
@@ -257,79 +268,111 @@ class KVClient:
         raise TransientError(
             f"gave up after {self.retry.retries} retries: {last}") from last
 
-    # -- API --------------------------------------------------------------------------
+    _call = attempts
 
-    def ping(self, payload: bytes = b"") -> bytes:
+    # -- API: each returns what the transport's ``_call`` returns --------------------
+
+    def ping(self, payload: bytes = b""):
         return self._call("ping", protocol.encode_ping(payload))
 
-    def get(self, key: bytes) -> bytes | None:
+    def get(self, key: bytes):
         return self._call("get", protocol.encode_get(key))
 
-    def put(self, key: bytes, value: bytes) -> int:
+    def put(self, key: bytes, value: bytes):
         return self._call("put", protocol.encode_put(key, value))
 
-    def delete(self, key: bytes) -> int:
+    def delete(self, key: bytes):
         return self._call("delete", protocol.encode_delete(key))
 
-    def write_batch(self, ops: list[tuple]) -> int:
+    def write_batch(self, ops: list[tuple]):
         return self._call("batch", protocol.encode_batch(ops))
 
-    def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
+    def scan(self, start: bytes, count: int):
         return self._call("scan", protocol.encode_scan(start, count))
 
-    def stats(self) -> dict:
+    def stats(self):
         return self._call("stats", protocol.encode_stats())
 
-    def describe(self) -> dict:
+    def describe(self):
         return self._call("describe", protocol.encode_describe())
 
     def batcher(self, max_ops: int = 128) -> Batcher:
-        return Batcher(self, max_ops=max_ops)
+        return self._batcher(self, max_ops=max_ops)
 
 
-class AsyncKVClient:
+# -- transports -------------------------------------------------------------------------
+
+
+class KVClient(ClientCore):
+    """Blocking client over one reused TCP connection."""
+
+    def close(self) -> None:
+        if self._pipeline is not None:
+            self._drop(self._pipeline)
+
+    def __enter__(self) -> "KVClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _call(self, op_name: str, frame: bytes):
+        attempts = self.attempts(op_name, frame)
+        outcome = None
+        while True:
+            try:
+                step = attempts.send(outcome)
+            except StopIteration as done:
+                return done.value
+            outcome = self._exchange(step) if isinstance(step, bytes) else time.sleep(step)
+
+    def _open(self, pipe: Pipeline) -> socket.socket:
+        return socket.create_connection((self.host, self.port), timeout=self.timeout)
+
+    def _exchange(self, frame: bytes):
+        """One attempt: the reply, or the failure that dropped the connection."""
+        try:
+            pipe = self.pipeline()
+            pipe.pending.append(frame)
+            pipe.transport.sendall(frame)
+            replies = []
+            while not replies:
+                replies = pipe.feed(pipe.transport.recv(64 * 1024))
+            return replies[0][1]
+        except (OSError, ProtocolError) as exc:
+            self._drop(self._pipeline)  # the pipeline in use (or failing to open)
+            return exc
+
+    def _drop(self, pipe: Pipeline) -> None:
+        self.drop(pipe)
+        if pipe.transport is not None:
+            with contextlib.suppress(OSError):
+                pipe.transport.close()
+
+
+class AsyncKVClient(ClientCore):
     """Asyncio client with request pipelining over one connection.
 
     Any number of coroutines may issue requests concurrently; frames are
     written in issue order and responses matched back in that order.  Use
-    ``asyncio.gather`` over many calls to pipeline.
+    ``asyncio.gather`` over many calls to pipeline.  Coroutines share one
+    connect, and a failed connection fails the requests pending on it.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 7711, *,
-                 timeout: float = 5.0, retry: RetryPolicy | None = None,
-                 max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.max_frame_bytes = max_frame_bytes
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._read_task: asyncio.Task | None = None
-        self._pending: deque[asyncio.Future] = deque()
-        self.total_retries = 0
+    _batcher = AsyncBatcher
 
     # -- connection management --------------------------------------------------------
 
     async def connect(self) -> None:
-        if self._writer is not None:
-            return
-        self._reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port), self.timeout)
-        self._read_task = asyncio.ensure_future(self._read_loop())
+        await asyncio.shield(self.pipeline().transport)
 
     async def close(self) -> None:
-        writer, self._writer, self._reader = self._writer, None, None
-        task, self._read_task = self._read_task, None
-        if task is not None:
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await task
-        if writer is not None:
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.close()
+        pipe = self._pipeline
+        if pipe is not None:
+            self._drop(pipe, ConnectionError("connection closed"))
+            with contextlib.suppress(OSError, asyncio.TimeoutError):
+                writer, __ = await pipe.transport
                 await writer.wait_closed()
-        self._fail_pending(ConnectionError("connection closed"))
 
     async def __aenter__(self) -> "AsyncKVClient":
         await self.connect()
@@ -338,94 +381,67 @@ class AsyncKVClient:
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
-    def _fail_pending(self, exc: Exception) -> None:
-        while self._pending:
-            fut = self._pending.popleft()
-            if not fut.done():
-                fut.set_exception(exc)
+    def _open(self, pipe: Pipeline) -> asyncio.Task:
+        return asyncio.ensure_future(self._connect(pipe))
+
+    async def _connect(self, pipe: Pipeline) -> tuple[asyncio.StreamWriter, asyncio.Task]:
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(self.host, self.port), self.timeout)
+        return writer, asyncio.ensure_future(self._read_loop(pipe, reader))
+
+    def _drop(self, pipe: Pipeline, exc: Exception) -> None:
+        for reply in self.drop(pipe):
+            if not reply.done():
+                reply.set_result(exc)
+        pipe.transport.add_done_callback(_close_stream)
 
     # -- pipelined plumbing -----------------------------------------------------------
 
-    async def _read_loop(self) -> None:
-        decoder = FrameDecoder(self.max_frame_bytes)
+    async def _read_loop(self, pipe: Pipeline, reader: asyncio.StreamReader) -> None:
         try:
             while True:
-                data = await self._reader.read(64 * 1024)
-                if not data:
-                    raise ConnectionError("server closed the connection")
-                for item in decoder.feed(data):
-                    if not self._pending:
-                        raise ProtocolError("unsolicited response frame")
-                    fut = self._pending.popleft()
-                    if fut.done():
-                        continue
-                    if isinstance(item, FrameTooLarge):
-                        fut.set_exception(ProtocolError(
-                            f"oversized response ({item.declared_size} bytes)"))
-                    else:
-                        fut.set_result(protocol.decode_response(item))
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self._fail_pending(exc)
+                for reply, frame in pipe.feed(await reader.read(64 * 1024)):
+                    if not reply.done():
+                        reply.set_result(frame)
+        except (OSError, ProtocolError) as exc:
+            self._drop(pipe, exc)
 
-    async def _send(self, frame_bytes: bytes) -> tuple[Status, bytes]:
-        await self.connect()
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        # Enqueue and write with no await in between: response order is
-        # exactly pending-queue order.
-        self._pending.append(fut)
-        self._writer.write(frame_bytes)
-        await self._writer.drain()
-        return await asyncio.wait_for(fut, self.timeout)
-
-    async def _call(self, op_name: str, frame_bytes: bytes):
-        last: Exception | None = None
-        for attempt in range(self.retry.retries + 1):
-            if attempt:
-                self.total_retries += 1
-                await asyncio.sleep(self.retry.delay(attempt - 1))
+    async def _call(self, op_name: str, frame: bytes):
+        attempts = self.attempts(op_name, frame)
+        outcome = None
+        while True:
             try:
-                status, body = await self._send(frame_bytes)
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-                await self.close()
-                last = exc
-                continue
-            if status in RETRYABLE_STATUSES:
-                last = TransientError(body.decode("utf-8", "replace"))
-                continue
-            return _unpack(op_name, status, body)
-        raise TransientError(
-            f"gave up after {self.retry.retries} retries: {last}") from last
+                step = attempts.send(outcome)
+            except StopIteration as done:
+                return done.value
+            outcome = await (self._exchange(step) if isinstance(step, bytes)
+                             else asyncio.sleep(step))
 
-    # -- API --------------------------------------------------------------------------
+    async def _exchange(self, frame: bytes):
+        """One attempt: the reply, or the failure that dropped the connection."""
+        pipe = self.pipeline()
+        try:
+            writer, __ = await asyncio.shield(pipe.transport)
+            if pipe is not self._pipeline:  # dropped while this request waited
+                return ConnectionError("connection dropped")
+            reply = asyncio.get_running_loop().create_future()
+            # Enqueue and write with no await in between: response order is
+            # exactly pending-queue order.
+            pipe.pending.append(reply)
+            writer.write(frame)
+            await writer.drain()
+            return await asyncio.wait_for(reply, self.timeout)
+        except (OSError, asyncio.TimeoutError) as exc:
+            self._drop(pipe, exc)
+            return exc
 
-    async def ping(self, payload: bytes = b"") -> bytes:
-        return await self._call("ping", protocol.encode_ping(payload))
 
-    async def get(self, key: bytes) -> bytes | None:
-        return await self._call("get", protocol.encode_get(key))
-
-    async def put(self, key: bytes, value: bytes) -> int:
-        return await self._call("put", protocol.encode_put(key, value))
-
-    async def delete(self, key: bytes) -> int:
-        return await self._call("delete", protocol.encode_delete(key))
-
-    async def write_batch(self, ops: list[tuple]) -> int:
-        return await self._call("batch", protocol.encode_batch(ops))
-
-    async def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
-        return await self._call("scan", protocol.encode_scan(start, count))
-
-    async def stats(self) -> dict:
-        return await self._call("stats", protocol.encode_stats())
-
-    async def describe(self) -> dict:
-        return await self._call("describe", protocol.encode_describe())
-
-    def batcher(self, max_ops: int = 128) -> AsyncBatcher:
-        return AsyncBatcher(self, max_ops=max_ops)
+def _close_stream(opening: asyncio.Future) -> None:
+    """Close a dropped connection once its connect task has finished."""
+    if not opening.cancelled() and opening.exception() is None:
+        writer, reading = opening.result()
+        reading.cancel()
+        writer.close()
 
 
 # -- command-line smoke client ----------------------------------------------------------

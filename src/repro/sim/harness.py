@@ -15,8 +15,8 @@ client advances one step, the server drains every connection, and due
 crash/recovery events fire.  All nondeterminism is drawn from
 ``random.Random`` instances derived from the master seed, and no wall
 clock steers the run, so the same seed reproduces the same run bit for
-bit (asserted via the event trace).  The server side is the shipped
-:class:`~repro.service.handler.RequestHandler`, not a copy of it.
+bit (asserted via the event trace).  Both ends are shipped code, not
+copies: the server's ``RequestHandler`` and each client's ``ClientCore``.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from repro.core.config import UniKVConfig
 from repro.core.store import UniKV
 from repro.env.storage import SimulatedDisk
 from repro.obs import server_view
-from repro.service import protocol
+from repro.service.client import ClientCore, Pipeline, RetryPolicy, ServerError, TransientError
 from repro.service.handler import RequestHandler, Session
-from repro.service.protocol import Status
 from repro.service.router import ShardRouter, default_boundaries, replace_config
 from repro.sim.faults import NO_FAULTS, ChaosConnection, FaultConfig
-from repro.sim.oracle import ABSENT, History, Violation, check
+from repro.sim.oracle import History, Violation, check
 
 
 @dataclass
@@ -62,6 +61,9 @@ class SimConfig:
 #: PUT values are padded to this size so memtables fill and maintenance runs
 PUT_VALUE_BYTES = 400
 
+#: seconds of client backoff per tick: converts RetryPolicy delays to ticks
+TICK_S = 0.001
+
 
 def sim_store_config(seed: int = 0) -> UniKVConfig:
     """A small-scale store config so flush/merge/scan-merge fire (not yet GC/split)."""
@@ -76,26 +78,30 @@ def sim_store_config(seed: int = 0) -> UniKVConfig:
     )
 
 
-class SimClient:
-    """One closed-loop client: at most one logical operation in flight."""
+class SimClient(ClientCore):
+    """One closed-loop client: at most one logical operation in flight.
 
-    def __init__(self, cid: int, harness: "SimHarness",
-                 op_seed: int, fault_seed: int) -> None:
-        self.cid = cid
-        self.harness = harness
-        self.op_rng = random.Random(op_seed)
+    Calls, retries, backoff and reply decoding are the shipped client core;
+    this transport only moves frames over a :class:`ChaosConnection` and
+    waits in ticks.
+    """
+
+    def __init__(self, cid: int, harness: "SimHarness", master: random.Random) -> None:
+        self.op_rng = random.Random(master.randrange(2 ** 63))
         #: one fault stream across all of this client's connections, so a
         #: reconnect continues (not restarts) the seeded fault schedule
-        self.fault_rng = random.Random(fault_seed)
-        self.conn = harness.open_connection(self)
+        self.fault_rng = random.Random(master.randrange(2 ** 63))
+        super().__init__(retry=RetryPolicy(seed=master.randrange(2 ** 63)))
+        self.cid = cid
+        self.harness = harness
         self.session = Session()  # server-side admission state (shed streak)
         self.record = None          # in-flight OpRecord
-        self.frame = b""            # its encoded request frame
-        self.waiting_since = 0
-        self.retry_at = 0           # backoff gate after Status.RETRY
+        self._attempts = None       # its retry loop (the client core's generator)
+        self.sent_at = None         # tick its frame was sent; None while backing off
+        self.resume_at = 0          # tick the backoff ends
         self.timeouts = 0
-        self.retry_responses = 0
-        self.error_responses = 0
+        self.gave_up = 0
+        self.pipeline()  # connect up front
 
     @property
     def idle(self) -> bool:
@@ -107,26 +113,16 @@ class SimClient:
         if self.record is None:
             if self.harness.generating:
                 self._start_op(now)
-            return
-        if now < self.retry_at:
-            return
-        if self.conn.broken:
-            self.harness.trace_event(f"t={now} c{self.cid} reconnect "
-                                     f"op{self.record.op_id} (broken)")
-            self._resend(now)
-            return
-        responses = self.conn.client_recv(now)
-        if responses:
-            # Closed-loop: exactly one request in flight, so the first
-            # completed frame is its response (duplicates are suppressed
-            # transport-side, abandoned connections are never read).
-            self._on_response(responses[0], now)
-            return
-        if now - self.waiting_since >= self.harness.config.client_timeout:
+        elif self.sent_at is None:
+            if now >= self.resume_at:
+                self._advance(now, None)
+        elif self.conn.broken:
+            self._fail(now, "broken", ConnectionError("connection broken"))
+        elif replies := self._pipeline.deliver(self.conn.client_recv(now)):
+            self._advance(now, replies[0][1])
+        elif now - self.sent_at >= self.harness.config.client_timeout:
             self.timeouts += 1
-            self.harness.trace_event(f"t={now} c{self.cid} timeout "
-                                     f"op{self.record.op_id}")
-            self._resend(now)
+            self._fail(now, "timeout", TimeoutError("no response"))
 
     # -- operation lifecycle ------------------------------------------------------------
 
@@ -143,60 +139,60 @@ class SimClient:
         else:
             kind = "delete"
         record = harness.history.invoke(self.cid, kind, key, None, now)
+        self.record = record
+        harness.trace_event(f"t={now} c{self.cid} invoke op{record.op_id} "
+                            f"{kind} {key!r}")
         if kind == "put":
             # Unique per logical operation: the oracle identifies writes
             # by value, and retries re-send the same value.
             record.value = (b"v-c%d-op%d-" % (self.cid, record.op_id)).ljust(
                 PUT_VALUE_BYTES, b"x")
-            self.frame = protocol.encode_put(key, record.value)
+            self._attempts = self.put(key, record.value)
         elif kind == "delete":
-            self.frame = protocol.encode_delete(key)
+            self._attempts = self.delete(key)
         else:
-            self.frame = protocol.encode_get(key)
-        self.record = record
-        self.waiting_since = now
-        harness.trace_event(f"t={now} c{self.cid} invoke op{record.op_id} "
-                            f"{kind} {key!r}")
-        self.conn.client_send(self.frame, now)
+            self._attempts = self.get(key)
+        self._advance(now, None)
 
-    def _resend(self, now: int) -> None:
-        """Retry the in-flight op on a fresh connection (same invoke ts)."""
-        self.harness.history.retry(self.record)
-        self.conn = self.harness.open_connection(self)
-        self.waiting_since = now
-        self.conn.client_send(self.frame, now)
-
-    def _on_response(self, payload: bytes, now: int) -> None:
+    def _advance(self, now: int, outcome) -> None:
+        """Feed the core's retry loop one outcome and act on its decision:
+        send, back off, or end the operation (acked, or unacked after an
+        error reply or once the retries are spent)."""
         record = self.record
-        status, body = protocol.decode_response(payload)
-        if status == Status.RETRY:
-            # Transient (backpressure or a crashed shard): back off, then
-            # retransmit.  The connection is healthy — keep it.
-            self.retry_responses += 1
-            self.harness.history.retry(record)
-            self.retry_at = now + 2 + min(8, record.attempts)
-            self.waiting_since = self.retry_at
-            self.conn.client_send(self.frame, self.retry_at)
-            self.harness.trace_event(f"t={now} c{self.cid} retry "
-                                     f"op{record.op_id}")
+        try:
+            step = self._attempts.send(outcome)
+        except StopIteration as done:
+            self.harness.history.ack(record, now, done.value)
+            event = "ack"
+        except TransientError:
+            self.gave_up += 1
+            event = "giveup"
+        except ServerError as exc:
+            event = f"error ({exc})"
+        else:
+            if isinstance(step, bytes):
+                self.pipeline().pending.append(record)
+                self.conn.client_send(step, now)
+                self.sent_at = now
+            else:
+                self.harness.history.retry(record)
+                self.sent_at = None
+                self.resume_at = now + max(1, round(step / TICK_S))
+                self.harness.trace_event(f"t={now} c{self.cid} backoff "
+                                         f"op{record.op_id} to t={self.resume_at}")
             return
-        if status == Status.ERROR:
-            self.error_responses += 1
-            self.harness.history.retry(record)
-            self.retry_at = now + 4
-            self.waiting_since = self.retry_at
-            self.conn.client_send(self.frame, self.retry_at)
-            self.harness.trace_event(f"t={now} c{self.cid} error-retry "
-                                     f"op{record.op_id}")
-            return
-        result = ABSENT
-        if record.kind == "get" and status == Status.OK:
-            result = protocol.decode_value_body(body)
-        self.harness.history.ack(record, now, result)
-        self.harness.trace_event(
-            f"t={now} c{self.cid} ack op{record.op_id} {status.name}")
-        self.record = None
-        self.retry_at = 0
+        self.harness.trace_event(f"t={now} c{self.cid} {event} op{record.op_id}")
+        self.record = self._attempts = None
+
+    def _fail(self, now: int, what: str, exc: Exception) -> None:
+        self.harness.trace_event(f"t={now} c{self.cid} {what} op{self.record.op_id}")
+        self.drop(self._pipeline)
+        self.conn.broken = True  # abandoned: neither side reads it again
+        self._advance(now, exc)
+
+    def _open(self, pipe: Pipeline) -> ChaosConnection:
+        self.conn = self.harness.open_connection(self)
+        return self.conn
 
 
 class SimHarness:
@@ -224,19 +220,12 @@ class SimHarness:
             stores, default_boundaries(self.config.num_shards))
         #: the request handler the TCP server runs, minus its transport
         self.handler = RequestHandler(self.router)
+        #: every connection opened, abandoned ones included (they are broken)
         self.connections: list[tuple[SimClient, ChaosConnection]] = []
-        self.clients = [
-            SimClient(cid, self,
-                      op_seed=master.randrange(2 ** 63),
-                      fault_seed=master.randrange(2 ** 63))
-            for cid in range(self.config.num_clients)
-        ]
+        self.clients = [SimClient(cid, self, master)
+                        for cid in range(self.config.num_clients)]
         self._crash_rng = random.Random(master.randrange(2 ** 63))
         self._crash_schedule = self._plan_crashes()
-        #: fault counters carried over from abandoned connections
-        self._closed_transport = {"dropped_requests": 0,
-                                  "duplicated_requests": 0,
-                                  "dropped_responses": 0, "resets": 0}
         #: (due tick, shard index, crash-consistent disk clone) — a list,
         #: not a tick-keyed dict: two crashes may come due the same tick
         #: (seed 23 of the harsh-profile sweep found the collision)
@@ -249,14 +238,8 @@ class SimHarness:
     # -- wiring -----------------------------------------------------------------------
 
     def open_connection(self, client: SimClient) -> ChaosConnection:
-        """A fresh connection for ``client``, replacing its previous one."""
+        """A fresh connection for ``client``."""
         conn = ChaosConnection(client.fault_rng, self._faults)
-        for other, old in self.connections:
-            if other is client:
-                for key in self._closed_transport:
-                    self._closed_transport[key] += getattr(old, key)
-        self.connections = [(c, k) for c, k in self.connections
-                            if c is not client]
         self.connections.append((client, conn))
         return conn
 
@@ -390,7 +373,7 @@ class SimHarness:
             server_errors=server["errors"],
             crashed_rejections=server["crashed_rejections"],
             timeouts=sum(c.timeouts for c in self.clients),
-            retry_responses=sum(c.retry_responses for c in self.clients),
+            gave_up=sum(c.gave_up for c in self.clients),
             transport=self._transport_stats(),
         )
 
@@ -407,11 +390,9 @@ class SimHarness:
         return dict(pairs)
 
     def _transport_stats(self) -> dict:
-        totals = dict(self._closed_transport)
-        for __, conn in self.connections:
-            for key in totals:
-                totals[key] += getattr(conn, key)
-        return totals
+        keys = ("dropped_requests", "duplicated_requests", "dropped_responses", "resets")
+        return {key: sum(getattr(conn, key) for __, conn in self.connections)
+                for key in keys}
 
 
 @dataclass
@@ -429,7 +410,8 @@ class SimResult:
     server_errors: int
     crashed_rejections: int
     timeouts: int
-    retry_responses: int
+    #: operations abandoned unacked once the client's retries were spent
+    gave_up: int
     transport: dict
 
     @property
@@ -441,6 +423,7 @@ class SimResult:
         line = (f"seed={self.seed} ops={h['ops']} acked={h['acked']} "
                 f"retries={h['retries']} crashes={self.crashes} "
                 f"recoveries={self.recoveries} timeouts={self.timeouts} "
+                f"gave_up={self.gave_up} "
                 f"final_keys={self.final_keys} "
                 f"violations={len(self.violations)}")
         if self.violations:
