@@ -1,8 +1,11 @@
 """Shared fixtures and helpers for the test suite."""
 
+import hashlib
+
 import pytest
 
 from repro.core import UniKVConfig
+from repro.env import SimulatedDisk
 
 
 def tiny_unikv_config(**overrides) -> UniKVConfig:
@@ -23,6 +26,18 @@ def tiny_unikv_config(**overrides) -> UniKVConfig:
     )
     defaults.update(overrides)
     return UniKVConfig(**defaults)
+
+
+def disk_digest(disk: SimulatedDisk) -> str:
+    """sha256 over the name and bytes of every file on ``disk``, read from
+    a clone so the pinned I/O counters stay untouched."""
+    snapshot = disk.clone()
+    digest = hashlib.sha256()
+    for name in snapshot.list():
+        data = snapshot.read_full(name, tag="digest")
+        digest.update(b"%d:%s:%d:" % (len(name), name.encode(), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 @pytest.fixture

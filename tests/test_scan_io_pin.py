@@ -5,17 +5,21 @@ A seeded script of puts, deletes and overwrites on a
 scan-merges, GC and splits.  Scans then start at partition boundaries,
 just below them (so they cross into the next partition), on deleted keys
 (a tombstone in some layer), at absent keys that fall inside a data block,
-and at present keys; ``items()`` streams whole ranges.  Three
-configs cover plain blocks, prefix-compressed blocks and selective KV
+and at present keys; ``items()`` streams whole ranges.  Four
+configs cover plain blocks, prefix-compressed blocks, selective KV
 separation (``inline_value_threshold > 0``, so the SortedStore holds
-``KIND_VALUE`` records beside value pointers).
+``KIND_VALUE`` records beside value pointers) and the merge's full
+re-separation (``partial_kv_separation=False``, which rewrites every old
+value into the new log).
 
 Results must equal a dict model.  The device work must equal the pinned
 numbers exactly: every ``disk.stats.records`` entry (ops, bytes), the
 running ``disk.stats.seconds`` float after the load and after the scans,
-and the value-log and block-cache counters.  A change to how scans decode
-blocks, merge sources or resolve pointers must leave all of them as they
-are.
+the value-log and block-cache counters, and a sha256 over the name and
+bytes of every file on disk after the load (table names, log numbers and
+contents).  A change to how scans decode blocks, merge sources or resolve
+pointers, or to how merge, GC and split write their runs, must leave all
+of them as they are.
 """
 
 import random
@@ -24,12 +28,13 @@ import pytest
 
 from repro.core.store import UniKV
 from repro.obs import counter_total
-from tests.conftest import tiny_unikv_config
+from tests.conftest import disk_digest, tiny_unikv_config
 
 CASES = {
     "plain": {},
     "prefix": {"block_prefix_compression": True},
     "inline": {"inline_value_threshold": 24},
+    "no_partial": {"partial_kv_separation": False},
 }
 
 COUNTERS = ("vlog_reads_total", "vlog_read_bytes_total",
@@ -100,6 +105,7 @@ def _counters(db: UniKV) -> tuple:
 def run_case(overrides: dict) -> dict:
     db, model, deleted = _load(overrides)
     after_load = (db.disk.stats.seconds, _counters(db))
+    files = disk_digest(db.disk)
     for start, count in _scan_starts(db, model, deleted):
         assert db.scan(start, count) == _expected_scan(model, start, count), (start, count)
     for lo, hi in _item_ranges(db):
@@ -111,11 +117,13 @@ def run_case(overrides: dict) -> dict:
         "after_load": after_load,
         "after_scans": (db.disk.stats.seconds, _counters(db)),
         "io": _io(db),
+        "files": files,
     }
 
 
 #: per case: structural counts, (seconds, counters) after the load and after
-#: the scans, and the final (ops, bytes) of every I/O record
+#: the scans, the final (ops, bytes) of every I/O record, and the digest of
+#: the files on disk after the load
 EXPECTED: dict = {
     "inline": {
         "core": {
@@ -148,6 +156,38 @@ EXPECTED: dict = {
             ("write", "seq", "split"): (1222, 109061),
             ("write", "seq", "wal"): (2400, 128629),
         },
+        "files": "b28a6984f122b4480788ec95ed93af2f71957631aef8c698415d221c1ebe28d2",
+    },
+    "no_partial": {
+        "core": {
+            "flushes": 190,
+            "merges": 17,
+            "scan_merges": 58,
+            "gc_runs": 0,
+            "splits": 14,
+            "index_checkpoints": 41,
+            "hash_false_positive_probes": 0,
+        },
+        "after_load": (0.003278734207153336, (0, 0, 0, 2488)),
+        "after_scans": (0.06390206481933523, (379, 314626, 191, 4286)),
+        "io": {
+            ("read", "rand", "scan"): (165, 25135),
+            ("read", "rand", "scan_value"): (379, 314626),
+            ("read", "rand", "table_open"): (200, 17600),
+            ("read", "seq", "merge"): (849, 232928),
+            ("read", "seq", "scan"): (1633, 221102),
+            ("read", "seq", "scan_merge"): (901, 129535),
+            ("read", "seq", "split"): (766, 105702),
+            ("read", "seq", "table_open"): (984, 100576),
+            ("write", "seq", "checkpoint"): (41, 19056),
+            ("write", "seq", "flush"): (1334, 142365),
+            ("write", "seq", "manifest"): (540, 111847),
+            ("write", "seq", "merge"): (3175, 218255),
+            ("write", "seq", "scan_merge"): (994, 147674),
+            ("write", "seq", "split"): (1841, 152382),
+            ("write", "seq", "wal"): (2400, 128629),
+        },
+        "files": "56ba51167a0f57ed683c54c4856681d928600a5cc23bf7f17ed68475719a3923",
     },
     "plain": {
         "core": {
@@ -180,6 +220,7 @@ EXPECTED: dict = {
             ("write", "seq", "split"): (1841, 152382),
             ("write", "seq", "wal"): (2400, 128629),
         },
+        "files": "8f83f0fa9a4cf0b9293cc6b61ee1ea273cfba992de94f1bcfa34e138f0c45e54",
     },
     "prefix": {
         "core": {
@@ -212,6 +253,7 @@ EXPECTED: dict = {
             ("write", "seq", "split"): (1391, 115392),
             ("write", "seq", "wal"): (2400, 128629),
         },
+        "files": "7b3e14dd1a410ada9525bbbbabdc9fd0b7d66735c26ffe8754241a76ff58754b",
     },
 }
 
@@ -224,3 +266,4 @@ def test_scan_results_and_device_io_are_pinned(case):
     assert got["after_load"] == expected["after_load"]
     assert got["io"] == expected["io"]
     assert got["after_scans"] == expected["after_scans"]
+    assert got["files"] == expected["files"]
