@@ -8,7 +8,7 @@ block cache, the metrics registry, and the crash-injection hook.
 from __future__ import annotations
 
 from repro.engine.block_cache import BlockCache
-from repro.engine.sstable import SSTableReader
+from repro.engine.sstable import SSTableBuilder, SSTableReader
 from repro.engine.table_cache import TableCache
 from repro.engine.vlog import VLogReader
 from repro.core.config import UniKVConfig
@@ -68,6 +68,14 @@ class StoreContext:
         name = f"sst-{self.next_table:06d}"
         self.next_table += 1
         return name
+
+    def new_table(self, tag: str) -> SSTableBuilder:
+        """A builder for a new table under the next table name, with the
+        store's block layout; its writes are tagged ``tag``."""
+        return SSTableBuilder(
+            self.disk, self.alloc_table_name(), tag=tag,
+            block_size=self.config.block_size,
+            prefix_compression=self.config.block_prefix_compression)
 
     def alloc_log_number(self) -> int:
         number = self.next_log

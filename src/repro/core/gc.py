@@ -21,12 +21,12 @@ and releases them.
 
 from __future__ import annotations
 
-from repro.engine.keys import KIND_VALUE, KIND_VPTR
-from repro.engine.sstable import SSTableBuilder, TableMeta
-from repro.engine.vlog import ValuePointer, VLogWriter
+from repro.engine.keys import KIND_VPTR
+from repro.engine.vlog import unpack_pointer
 from repro.core.context import StoreContext
 from repro.core.manifest import meta_to_json
 from repro.core.partition import Partition
+from repro.core.sorted_store import read_log_records, write_run
 
 
 def run_gc(ctx: StoreContext, partition: Partition) -> None:
@@ -35,61 +35,18 @@ def run_gc(ctx: StoreContext, partition: Partition) -> None:
 
     # Step 1: the SortedStore's keys+pointers are exactly the live set.
     # Inline records (selective KV separation) have no log bytes to
-    # reclaim but must be carried into the rewritten tables in key order.
-    live: list[tuple[bytes, int, object]] = []  # key, kind, ptr|inline bytes
-    wanted: dict[int, set[int]] = {}  # log number -> live offsets
-    for key, kind, payload in partition.sorted.all_entries(tag="gc"):
-        if kind == KIND_VALUE:
-            live.append((key, KIND_VALUE, payload))
-            continue
-        ptr = ValuePointer.decode(payload)
-        live.append((key, KIND_VPTR, ptr))
-        wanted.setdefault(ptr.log_number, set()).add(ptr.offset)
+    # reclaim but are carried into the rewritten tables in key order.
+    live = list(partition.sorted.all_entries(tag="gc"))
+    wanted = {unpack_pointer(payload)[1] for __, kind, payload in live
+              if kind == KIND_VPTR}
 
-    # Step 2a: read the valid values out of every referenced log
-    # (one sequential pass per log file).
-    values: dict[tuple[int, int], bytes] = {}
-    for log_number in sorted(partition.log_numbers):
-        offsets = wanted.get(log_number)
-        if not offsets:
-            continue
-        for key, value, offset, __ in ctx.log_reader(log_number).scan(tag="gc"):
-            if offset in offsets:
-                values[(log_number, offset)] = value
+    # Step 2a: read the referenced logs (one sequential pass per log file).
+    values = read_log_records(ctx, sorted(partition.log_numbers & wanted), tag="gc")
 
-    # Step 2b/3: write values to a new log and new pointers+keys to new tables.
-    new_log: int | None = None
-    log_writer: VLogWriter | None = None
-    new_tables: list[TableMeta] = []
-    builder: SSTableBuilder | None = None
-    live_value_bytes = 0
-    for key, kind, item in live:
-        if kind == KIND_VALUE:
-            record_kind, payload = KIND_VALUE, item
-        else:
-            old_ptr = item
-            value = values[(old_ptr.log_number, old_ptr.offset)]
-            if log_writer is None:
-                new_log = ctx.alloc_log_number()
-                log_writer = VLogWriter(ctx.disk, ctx.log_name(new_log),
-                                        partition=partition.id,
-                                        log_number=new_log, tag="gc")
-            new_ptr = log_writer.append(key, value)
-            live_value_bytes += new_ptr.length
-            record_kind, payload = KIND_VPTR, new_ptr.encode()
-        if builder is None:
-            builder = SSTableBuilder(
-                ctx.disk, ctx.alloc_table_name(), tag="gc",
-                block_size=ctx.config.block_size,
-                prefix_compression=ctx.config.block_prefix_compression)
-        builder.add(key, record_kind, payload)
-        if builder.estimated_size >= ctx.config.sstable_size:
-            new_tables.append(builder.finish())
-            builder = None
-    if builder is not None and builder.num_entries:
-        new_tables.append(builder.finish())
-    if log_writer is not None:
-        log_writer.close()
+    # Step 2b/3: write the live values to a new log and the new pointers
+    # (with their keys) to new tables.
+    new_tables, new_log, live_value_bytes = write_run(
+        ctx, partition.id, live, "gc", old_values=values)
 
     ctx.crash_point("gc:before_commit")
 

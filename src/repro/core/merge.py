@@ -19,12 +19,10 @@ manifest record after all data files are durable.
 from __future__ import annotations
 
 from repro.engine.iterators import merge_sorted
-from repro.engine.keys import KIND_VALUE, KIND_VPTR
-from repro.engine.sstable import SSTableBuilder, TableMeta
-from repro.engine.vlog import ValuePointer, VLogWriter
 from repro.core.context import StoreContext
 from repro.core.manifest import meta_to_json
 from repro.core.partition import Partition
+from repro.core.sorted_store import read_log_records, write_run
 
 
 def merge_partition(ctx: StoreContext, partition: Partition) -> None:
@@ -33,75 +31,17 @@ def merge_partition(ctx: StoreContext, partition: Partition) -> None:
     sources = partition.unsorted.all_entry_sources(tag="merge")
     sources.append(partition.sorted.all_entries(tag="merge"))
 
-    log_number: int | None = None
-    log_writer: VLogWriter | None = None
-    new_tables: list[TableMeta] = []
-    builder: SSTableBuilder | None = None
-    live_value_bytes = 0
-
-    def roll_builder() -> SSTableBuilder:
-        return SSTableBuilder(
-            ctx.disk, ctx.alloc_table_name(), tag="merge",
-            block_size=ctx.config.block_size,
-            prefix_compression=ctx.config.block_prefix_compression)
-
-    def ensure_log() -> VLogWriter:
-        nonlocal log_number, log_writer
-        if log_writer is None:
-            log_number = ctx.alloc_log_number()
-            log_writer = VLogWriter(ctx.disk, ctx.log_name(log_number),
-                                    partition=partition.id,
-                                    log_number=log_number, tag="merge")
-        return log_writer
-
     partial = ctx.config.partial_kv_separation
-    inline_below = ctx.config.inline_value_threshold
-    old_values: dict[tuple[int, int], bytes] = {}
+    old_values = None
     if not partial:
         # Ablation (full re-separation): stream every referenced log once,
-        # as a value-rewriting merge would, so old values can be copied
-        # into the new log below.
-        for old_log in sorted(partition.log_numbers):
-            for key, value, offset, __ in ctx.log_reader(old_log).scan(tag="merge"):
-                old_values[(old_log, offset)] = value
-
-    for key, kind, payload in merge_sorted(sources, drop_tombstones=True):
-        if kind == KIND_VALUE:
-            if len(payload) < inline_below:
-                # Selective KV separation (extension): small values are
-                # cheaper to keep inline than to chase through a log.
-                pass
-            else:
-                # Hot value migrating to the cold layer: separate it now.
-                ptr = ensure_log().append(key, payload)
-                live_value_bytes += ptr.length
-                payload = ptr.encode()
-                kind = KIND_VPTR
-        elif kind == KIND_VPTR:
-            if partial:
-                # Already separated: carry the pointer, leave the value put.
-                live_value_bytes += ValuePointer.decode(payload).length
-            else:
-                # Ablation: full re-separation — rewrite the old value into
-                # the new log (what partial KV separation is designed to
-                # avoid).
-                old_ptr = ValuePointer.decode(payload)
-                value = old_values[(old_ptr.log_number, old_ptr.offset)]
-                ptr = ensure_log().append(key, value)
-                live_value_bytes += ptr.length
-                payload = ptr.encode()
-        else:  # pragma: no cover - merge_sorted filtered tombstones
-            continue
-        if builder is None:
-            builder = roll_builder()
-        builder.add(key, kind, payload)
-        if builder.estimated_size >= ctx.config.sstable_size:
-            new_tables.append(builder.finish())
-            builder = None
-    if builder is not None and builder.num_entries:
-        new_tables.append(builder.finish())
-    if log_writer is not None:
-        log_writer.close()
+        # as a value-rewriting merge would, so every old value is copied
+        # into the new log (what partial KV separation is designed to
+        # avoid).
+        old_values = read_log_records(ctx, sorted(partition.log_numbers), tag="merge")
+    new_tables, log_number, live_value_bytes = write_run(
+        ctx, partition.id, merge_sorted(sources, drop_tombstones=True), "merge",
+        old_values)
 
     ctx.crash_point("merge:after_data")
 

@@ -1,26 +1,32 @@
 """SortedStore: the cold, fully-sorted, KV-separated second layer.
 
 One partition's SortedStore is a single sorted run of SSTables holding only
-keys and :class:`~repro.engine.vlog.ValuePointer` records; values live in
-append-only value-log files.  Because the run is fully sorted and its
-boundary keys are in memory, a point lookup touches exactly one SSTable
-(even for absent keys — the paper's replacement for Bloom filters), plus one
-value-log read on a hit.
+keys and encoded value pointers (:func:`~repro.engine.vlog.unpack_pointer`);
+values live in append-only value-log files.  Because the run is fully
+sorted and its boundary keys are in memory, a point lookup touches exactly
+one SSTable (even for absent keys — the paper's replacement for Bloom
+filters), plus one value-log read on a hit.
+
+Merge, GC and split each end by writing a partition's new run, and all
+three do it through :func:`write_run`, which owns the separation policy;
+they differ only in the records they feed it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.engine.errors import CorruptionError
 from repro.engine.keys import KIND_VALUE, KIND_VPTR
-from repro.engine.sstable import TableMeta
-from repro.engine.vlog import POINTER
+from repro.engine.sstable import TableMeta, write_tables
+from repro.engine.vlog import VLogWriter, unpack_pointer
 from repro.core.context import StoreContext
 
 Record = tuple[bytes, int, bytes]
+#: (log number, offset) -> (key, record length, value) of value-log records
+LogRecords = dict[tuple[int, int], tuple[bytes, int, bytes]]
 
 
 class SortedStore:
@@ -84,9 +90,7 @@ class SortedStore:
     def resolve_pointer(self, key: bytes, ptr_bytes: bytes, tag: str) -> bytes:
         """The value a pointer record of ``key`` points at (one value-log
         read); the value log must hold it under ``key``."""
-        if len(ptr_bytes) != POINTER.size:
-            raise CorruptionError("bad value-pointer size")
-        __, log_number, offset, length = POINTER.unpack(ptr_bytes)
+        __, log_number, offset, length = unpack_pointer(ptr_bytes)
         stored_key, value = self._ctx.log_reader(log_number).read_value(
             offset, length, tag=tag)
         if stored_key != key:
@@ -134,3 +138,74 @@ class SortedStore:
 
     def num_entries(self) -> int:
         return sum(m.num_entries for m in self.tables)
+
+
+# -- writing a run -----------------------------------------------------------------------
+
+def read_log_records(ctx: StoreContext, log_numbers: Iterable[int],
+                     tag: str) -> LogRecords:
+    """Every record of the given value logs, one sequential pass per log
+    (the ``old_values`` of :func:`write_run`)."""
+    return {(log_number, offset): (key, length, value)
+            for log_number in log_numbers
+            for key, value, offset, length in ctx.log_reader(log_number).scan(tag=tag)}
+
+
+def write_run(ctx: StoreContext, partition_id: int, records: Iterable[Record],
+              tag: str, old_values: LogRecords | None = None,
+              ) -> tuple[list[TableMeta], int | None, int]:
+    """Write a partition's new SortedStore run from sorted ``records``
+    (values and pointers, no tombstones).
+
+    * An inline value of at least ``inline_value_threshold`` bytes is
+      separated into one fresh value log, created at the first such value;
+      a smaller one stays inline (selective KV separation).
+    * A pointer is carried as is: its value stays where it is (partial KV
+      separation, lazy value split).
+    * With ``old_values`` (GC, and the merge's full re-separation), the
+      value a pointer names is rewritten into the new log instead.  The
+      pointer must name the start of a record stored under its key with
+      its length, as the read path checks.
+
+    Returns the tables, the new log's number (None if nothing was
+    separated) and the run's live value-log bytes.
+    """
+    inline_below = ctx.config.inline_value_threshold
+    writer: VLogWriter | None = None
+    carried_bytes = 0
+
+    def separated() -> Iterator[Record]:
+        nonlocal writer, carried_bytes
+        for key, kind, payload in records:
+            if kind == KIND_VALUE:
+                if len(payload) < inline_below:
+                    yield key, kind, payload
+                    continue
+                value = payload
+            else:
+                __, old_log, offset, length = unpack_pointer(payload)
+                if old_values is None:
+                    carried_bytes += length
+                    yield key, kind, payload
+                    continue
+                found = old_values.get((old_log, offset))
+                if found is None or found[0] != key or found[1] != length:
+                    raise CorruptionError(
+                        f"value pointer of {key!r} does not name its record "
+                        f"(log {old_log} @{offset}, {length} bytes)")
+                value = found[2]
+            if writer is None:
+                log_number = ctx.alloc_log_number()
+                writer = VLogWriter(ctx.disk, ctx.log_name(log_number),
+                                    partition=partition_id,
+                                    log_number=log_number, tag=tag)
+            yield key, KIND_VPTR, writer.append(key, value)
+
+    tables = write_tables(separated(), lambda: ctx.new_table(tag),
+                          ctx.config.sstable_size)
+    if writer is None:
+        return tables, None, carried_bytes
+    # Every record of the new log is live.
+    live_value_bytes = carried_bytes + writer.size()
+    writer.close()
+    return tables, writer.log_number, live_value_bytes

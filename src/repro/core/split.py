@@ -20,12 +20,10 @@ One manifest record commits the whole transition atomically.
 from __future__ import annotations
 
 from repro.engine.iterators import merge_sorted
-from repro.engine.keys import KIND_VALUE, KIND_VPTR
-from repro.engine.sstable import SSTableBuilder, TableMeta
-from repro.engine.vlog import ValuePointer, VLogWriter
 from repro.core.context import StoreContext
 from repro.core.manifest import meta_to_json
 from repro.core.partition import Partition
+from repro.core.sorted_store import write_run
 
 
 def split_partition(ctx: StoreContext, partition: Partition) -> list[Partition] | None:
@@ -58,41 +56,10 @@ def split_partition(ctx: StoreContext, partition: Partition) -> list[Partition] 
     for lower, part_records in halves:
         new_id = ctx.alloc_partition_id()
         part = Partition(ctx, new_id, lower)
-        log_number: int | None = None
-        log_writer: VLogWriter | None = None
-        tables: list[TableMeta] = []
-        builder: SSTableBuilder | None = None
-        live_value_bytes = 0
-        inline_below = ctx.config.inline_value_threshold
-        for key, kind, payload in part_records:
-            if kind == KIND_VALUE and len(payload) >= inline_below:
-                # Eager split of the UnsortedStore's inline values.
-                if log_writer is None:
-                    log_number = ctx.alloc_log_number()
-                    log_writer = VLogWriter(ctx.disk, ctx.log_name(log_number),
-                                            partition=new_id,
-                                            log_number=log_number, tag="split")
-                ptr = log_writer.append(key, payload)
-                live_value_bytes += ptr.length
-                payload = ptr.encode()
-                kind = KIND_VPTR
-            elif kind == KIND_VPTR:
-                # Lazy split: the value stays where it is, behind its pointer.
-                live_value_bytes += ValuePointer.decode(payload).length
-            # (small KIND_VALUE records stay inline: selective KV separation)
-            if builder is None:
-                builder = SSTableBuilder(
-                    ctx.disk, ctx.alloc_table_name(), tag="split",
-                    block_size=ctx.config.block_size,
-                    prefix_compression=ctx.config.block_prefix_compression)
-            builder.add(key, kind, payload)
-            if builder.estimated_size >= ctx.config.sstable_size:
-                tables.append(builder.finish())
-                builder = None
-        if builder is not None and builder.num_entries:
-            tables.append(builder.finish())
-        if log_writer is not None:
-            log_writer.close()
+        # Eager split of the UnsortedStore's inline values into a fresh
+        # log; lazy split of the old pointers, whose values stay put.
+        tables, log_number, live_value_bytes = write_run(
+            ctx, new_id, part_records, "split")
         part.sorted.replace_tables(tables)
         part.sorted.live_value_bytes = live_value_bytes
         new_parts.append(part)

@@ -34,7 +34,6 @@ from typing import Iterator
 from repro.engine.iterators import merge_sorted
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE, KIND_VPTR
 from repro.engine.memtable import MemTable
-from repro.engine.sstable import SSTableBuilder
 from repro.engine.vlog import fetch_values
 from repro.engine.wal import WalWriter
 from repro.core.config import UniKVConfig
@@ -309,12 +308,8 @@ class UniKV(KVStore):
         if not partition.mem:
             return
         self.ctx.crash_point("flush:start")
-        name = self.ctx.alloc_table_name()
-        table_id = int(name.rsplit("-", 1)[1])
-        builder = SSTableBuilder(
-            self.ctx.disk, name, tag="flush",
-            block_size=self.config.block_size,
-            prefix_compression=self.config.block_prefix_compression)
+        builder = self.ctx.new_table("flush")
+        table_id = int(builder.name.rsplit("-", 1)[1])
         keys: list[bytes] = []
         for key, kind, value in partition.mem.entries():
             builder.add(key, kind, value)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.engine.sstable import SSTableBuilder, TableMeta
+from repro.engine.sstable import TableMeta
 from repro.core.context import StoreContext
 from repro.core.hash_index import HashIndex
 
@@ -96,11 +96,7 @@ class UnsortedStore:
         """
         from repro.engine.iterators import merge_sorted
 
-        ctx = self._ctx
-        builder = SSTableBuilder(
-            ctx.disk, ctx.alloc_table_name(), tag="scan_merge",
-            block_size=ctx.config.block_size,
-            prefix_compression=ctx.config.block_prefix_compression)
+        builder = self._ctx.new_table("scan_merge")
         keys: list[bytes] = []
         for key, kind, value in merge_sorted(self.all_entry_sources(tag="scan_merge")):
             builder.add(key, kind, value)

@@ -19,7 +19,7 @@ from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE, KIND_VPTR, TOMBSTONE
 from repro.engine.memtable import MemTable
 from repro.engine.skiplist import SkipList
 from repro.engine.sstable import SSTableBuilder, SSTableReader
-from repro.engine.vlog import ValuePointer, VLogReader, VLogWriter
+from repro.engine.vlog import VLogReader, VLogWriter, unpack_pointer
 from repro.engine.wal import WalReader, WalWriter
 
 __all__ = [
@@ -37,9 +37,9 @@ __all__ = [
     "SkipList",
     "SSTableBuilder",
     "SSTableReader",
-    "ValuePointer",
     "VLogWriter",
     "VLogReader",
+    "unpack_pointer",
     "WalWriter",
     "WalReader",
 ]

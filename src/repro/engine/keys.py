@@ -5,7 +5,8 @@ Keys and values are ``bytes``.  Deletions are represented internally by the
 in-memory structures that carry a value slot for every key.
 
 KV-separated stores (UniKV's SortedStore, WiscKey) carry ``KIND_VPTR``
-records whose value bytes are an encoded :class:`~repro.engine.vlog.ValuePointer`.
+records whose value bytes are an encoded value pointer (see
+:func:`~repro.engine.vlog.unpack_pointer`).
 """
 
 from __future__ import annotations

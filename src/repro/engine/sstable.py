@@ -19,7 +19,7 @@ import struct
 import zlib
 from bisect import bisect_left
 from itertools import chain
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.engine.block import Block, BlockBuilder, DEFAULT_BLOCK_SIZE
 from repro.engine.block_cache import BlockCache
@@ -146,6 +146,30 @@ class TableMeta:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TableMeta({self.name!r}, [{self.smallest!r}..{self.largest!r}], "
                 f"n={self.num_entries})")
+
+
+def write_tables(records: Iterable[tuple[bytes, int, bytes]],
+                 new_builder: Callable[[], SSTableBuilder],
+                 table_size: int) -> list[TableMeta]:
+    """Write ``records`` (strictly increasing keys) as a run of tables.
+
+    Each table's builder is created just before its first record is added,
+    so whatever pulling that record does (say, appending its value to a
+    log) happens first; a table is cut once it reaches ``table_size``
+    bytes.  An empty stream creates no table.
+    """
+    tables: list[TableMeta] = []
+    builder: SSTableBuilder | None = None
+    for key, kind, value in records:
+        if builder is None:
+            builder = new_builder()
+        builder.add(key, kind, value)
+        if builder.estimated_size >= table_size:
+            tables.append(builder.finish())
+            builder = None
+    if builder is not None:
+        tables.append(builder.finish())
+    return tables
 
 
 class SSTableReader:

@@ -1,9 +1,11 @@
 """Value logs for KV separation.
 
 UniKV's SortedStore (and the WiscKey baseline) store values in append-only
-log files; the sorted key structures store :class:`ValuePointer` records
-instead.  Each log record carries the key alongside the value so garbage
-collection can identify which key a value belongs to (as in WiscKey/UniKV).
+log files; the sorted key structures store 20-byte encoded pointers
+instead (:meth:`VLogWriter.append` returns one; :func:`unpack_pointer`
+unpacks one into a tuple and checks its size).  Each log record carries the
+key alongside the value so garbage collection can identify which key a
+value belongs to (as in WiscKey/UniKV).
 
 Record layout::
 
@@ -28,7 +30,7 @@ from repro.env.storage import SimulatedDisk
 from repro.obs import MetricsRegistry
 
 _REC_HDR = struct.Struct("<III")
-#: encoded :class:`ValuePointer`: partition, log number, offset, length
+#: encoded value pointer: partition, log number, offset, length
 POINTER = struct.Struct("<IIQI")
 #: scan readahead window: a record that starts at most this many bytes
 #: after the previous one ends (same log) joins its device read, and the
@@ -36,39 +38,11 @@ POINTER = struct.Struct("<IIQI")
 READAHEAD_GAP = 4 * 1024
 
 
-class ValuePointer:
-    """Location of one value inside a partition's value log."""
-
-    __slots__ = ("partition", "log_number", "offset", "length")
-
-    ENCODED_SIZE = POINTER.size
-
-    def __init__(self, partition: int, log_number: int, offset: int, length: int) -> None:
-        self.partition = partition
-        self.log_number = log_number
-        self.offset = offset
-        self.length = length
-
-    def encode(self) -> bytes:
-        return POINTER.pack(self.partition, self.log_number, self.offset, self.length)
-
-    @classmethod
-    def decode(cls, buf: bytes) -> "ValuePointer":
-        if len(buf) != POINTER.size:
-            raise CorruptionError("bad value-pointer size")
-        return cls(*POINTER.unpack(buf))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ValuePointer)
-                and (self.partition, self.log_number, self.offset, self.length)
-                == (other.partition, other.log_number, other.offset, other.length))
-
-    def __hash__(self) -> int:
-        return hash((self.partition, self.log_number, self.offset, self.length))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ValuePointer(p={self.partition}, log={self.log_number}, "
-                f"off={self.offset}, len={self.length})")
+def unpack_pointer(buf: bytes) -> tuple[int, int, int, int]:
+    """(partition, log number, offset, length) of an encoded pointer."""
+    if len(buf) != POINTER.size:
+        raise CorruptionError("bad value-pointer size")
+    return POINTER.unpack(buf)
 
 
 class VLogWriter:
@@ -82,11 +56,12 @@ class VLogWriter:
         self.partition = partition
         self.log_number = log_number
 
-    def append(self, key: bytes, value: bytes) -> ValuePointer:
+    def append(self, key: bytes, value: bytes) -> bytes:
+        """Append one record; returns its encoded pointer."""
         crc = zlib.crc32(key + value)
         record = _REC_HDR.pack(len(key), len(value), crc) + key + value
         offset = self._writer.append(record, tag=self._tag)
-        return ValuePointer(self.partition, self.log_number, offset, len(record))
+        return POINTER.pack(self.partition, self.log_number, offset, len(record))
 
     def size(self) -> int:
         return self._writer.tell()
@@ -179,9 +154,7 @@ def fetch_values(reader_for: Callable[[int], VLogReader],
     """
     spans = []
     for i, (__, ptr) in enumerate(wanted):
-        if len(ptr) != POINTER.size:
-            raise CorruptionError("bad value-pointer size")
-        __, log_number, offset, length = POINTER.unpack(ptr)
+        __, log_number, offset, length = unpack_pointer(ptr)
         spans.append((log_number, offset, length, i))
     spans.sort()
     values: list[bytes] = [b""] * len(wanted)

@@ -20,7 +20,7 @@ from repro.engine.block_cache import BlockCache
 from repro.engine.iterators import merge_sorted
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
 from repro.engine.memtable import MemTable
-from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta
+from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta, write_tables
 from repro.engine.table_cache import TableCache
 from repro.engine.wal import WalReader, WalWriter
 from repro.env.storage import SimulatedDisk
@@ -248,17 +248,9 @@ class LevelDBStore(KVStore):
         # Tombstones can be dropped once nothing older can hold the key.
         at_bottom = target >= self._state.deepest_nonempty_level()
 
-        outputs: list[TableMeta] = []
-        builder: SSTableBuilder | None = None
-        for key, kind, value in merge_sorted(sources, drop_tombstones=at_bottom):
-            if builder is None:
-                builder = self._new_builder(tag="compaction")
-            builder.add(key, kind, value)
-            if builder.estimated_size >= self.config.sstable_size:
-                outputs.append(builder.finish())
-                builder = None
-        if builder is not None and builder.num_entries:
-            outputs.append(builder.finish())
+        outputs = write_tables(merge_sorted(sources, drop_tombstones=at_bottom),
+                               lambda: self._new_builder(tag="compaction"),
+                               self.config.sstable_size)
 
         self._manifest.append({
             "type": "compaction",

@@ -22,7 +22,7 @@ from repro.engine.block_cache import BlockCache
 from repro.engine.iterators import merge_sorted
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
 from repro.engine.memtable import MemTable
-from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta
+from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta, write_tables
 from repro.engine.table_cache import TableCache
 from repro.engine.wal import WalWriter
 from repro.env.storage import SimulatedDisk
@@ -216,17 +216,9 @@ class PebblesDBStore(KVStore):
     def _consolidate_guard(self, level_index: int, guard: _Guard,
                            sources: list[Iterator[Record]]) -> None:
         """Bottom level: rewrite a guard as single-file guards (tombstones drop)."""
-        outputs: list[TableMeta] = []
-        builder: SSTableBuilder | None = None
-        for record in merge_sorted(sources, drop_tombstones=True):
-            if builder is None:
-                builder = self._new_builder(tag="compaction")
-            builder.add(*record)
-            if builder.estimated_size >= self.config.sstable_size:
-                outputs.append(builder.finish())
-                builder = None
-        if builder is not None and builder.num_entries:
-            outputs.append(builder.finish())
+        outputs = write_tables(merge_sorted(sources, drop_tombstones=True),
+                               lambda: self._new_builder(tag="compaction"),
+                               self.config.sstable_size)
         stale = list(guard.files)
         guards = self._levels[level_index]
         slot = guards.index(guard)

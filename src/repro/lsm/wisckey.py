@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.engine.vlog import ValuePointer, VLogReader, VLogWriter, fetch_values
+from repro.engine.vlog import VLogReader, VLogWriter, fetch_values, unpack_pointer
 from repro.env.storage import SimulatedDisk
 from repro.lsm.base import KVStore, LSMConfig
 from repro.lsm.leveldb import LevelDBStore
@@ -74,8 +74,7 @@ class WiscKeyStore(KVStore):
         return self._disk
 
     def put(self, key: bytes, value: bytes) -> None:
-        ptr = self._head.append(key, value)
-        self._index.put(key, ptr.encode())
+        self._index.put(key, self._head.append(key, value))
         if self._head.size() >= self.config.vlog_segment_size:
             self._roll_head()
         self._maybe_gc()
@@ -87,9 +86,9 @@ class WiscKeyStore(KVStore):
         ptr_bytes = self._index.get(key)
         if ptr_bytes is None:
             return None
-        ptr = ValuePointer.decode(ptr_bytes)
-        __, value = self._vlog_reader(ptr.log_number).read_value(
-            ptr.offset, ptr.length, tag="lookup_value")
+        __, log_number, offset, length = unpack_pointer(ptr_bytes)
+        __, value = self._vlog_reader(log_number).read_value(
+            offset, length, tag="lookup_value")
         return value
 
     def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
@@ -159,11 +158,10 @@ class WiscKeyStore(KVStore):
             current = self._index.get(key, tag="gc_lookup")
             if current is None:
                 continue
-            ptr = ValuePointer.decode(current)
-            if ptr.log_number != tail or ptr.offset != offset:
+            __, log_number, ptr_offset, __ = unpack_pointer(current)
+            if log_number != tail or ptr_offset != offset:
                 continue  # superseded by a newer write
-            new_ptr = self._head.append(key, value)
-            self._index.put(key, new_ptr.encode())
+            self._index.put(key, self._head.append(key, value))
             self.gc_relocated_values += 1
             if self._head.size() >= self.config.vlog_segment_size:
                 self._roll_head()

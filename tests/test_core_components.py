@@ -6,7 +6,7 @@ from repro.core.gc import run_gc
 from repro.core.merge import merge_partition
 from repro.core.split import split_partition
 from repro.engine.keys import KIND_VPTR
-from repro.engine.vlog import ValuePointer
+from repro.engine.vlog import unpack_pointer
 from tests.conftest import tiny_unikv_config
 
 
@@ -43,7 +43,7 @@ def test_merge_separates_values_into_log():
     # Every SortedStore record is a pointer.
     for __, kind, payload in p.sorted.all_entries(tag="test"):
         assert kind == KIND_VPTR
-        ValuePointer.decode(payload)
+        unpack_pointer(payload)
 
 
 def test_merge_carries_old_pointers_without_rewriting_values():
@@ -69,7 +69,7 @@ def test_merge_live_bytes_accounting_matches_pointers():
     merge_partition(db.ctx, p)
     total = 0
     for key, __, payload in p.sorted.all_entries(tag="test"):
-        total += ValuePointer.decode(payload).length
+        total += unpack_pointer(payload)[3]
     assert p.sorted.live_value_bytes == total
 
 

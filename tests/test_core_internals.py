@@ -4,13 +4,15 @@ bookkeeping, the shared-log registry, and partition trigger logic."""
 import pytest
 
 from repro.core.context import StoreContext
+from repro.core.gc import run_gc
 from repro.core.manifest import Manifest
+from repro.core.merge import merge_partition
 from repro.core.partition import Partition
 from repro.core.sorted_store import SortedStore
 from repro.engine.errors import CorruptionError
 from repro.engine.keys import KIND_VPTR
 from repro.engine.sstable import SSTableBuilder
-from repro.engine.vlog import VLogWriter
+from repro.engine.vlog import POINTER, VLogWriter, vlog_record_size
 from repro.env import SimulatedDisk
 from tests.conftest import tiny_unikv_config
 
@@ -62,7 +64,7 @@ def test_sorted_store_pointer_key_mismatch_detected():
     writer = VLogWriter(ctx.disk, ctx.log_name(log), partition=0,
                         log_number=log, tag="test")
     ptr = writer.append(b"other-key", b"value")
-    table = build_table(ctx, [(b"wanted", KIND_VPTR, ptr.encode())])
+    table = build_table(ctx, [(b"wanted", KIND_VPTR, ptr)])
     store.replace_tables([table])
     with pytest.raises(CorruptionError):
         store.get(b"wanted")
@@ -78,7 +80,7 @@ def test_sorted_store_bad_pointer_size_detected():
     log = ctx.alloc_log_number()
     writer = VLogWriter(ctx.disk, ctx.log_name(log), partition=0,
                         log_number=log, tag="test")
-    ptr = writer.append(b"k", b"value").encode()
+    ptr = writer.append(b"k", b"value")
     store.replace_tables([build_table(ctx, [(b"k", KIND_VPTR, ptr[:-1])])])
     with pytest.raises(CorruptionError):
         store.get(b"k")
@@ -86,6 +88,46 @@ def test_sorted_store_bad_pointer_size_detected():
         with pytest.raises(CorruptionError):
             store.resolve_pointer(b"k", bad, tag="scan_value")
     assert store.resolve_pointer(b"k", ptr, tag="scan_value") == b"value"
+
+
+# Each case turns the correct pointer of b"wanted" -- (log, offset, length)
+# of its record, which follows b"other"'s record in the log -- into one the
+# read path rejects.
+BAD_POINTERS = {
+    "names_another_keys_record": lambda log, offset, length: (log, 0, offset),
+    "length_differs_from_record": lambda log, offset, length: (log, offset, length - 2),
+    "offset_inside_a_record": lambda log, offset, length: (log, offset + 3, length),
+}
+
+
+@pytest.mark.parametrize("job", [run_gc, merge_partition])
+@pytest.mark.parametrize("case", sorted(BAD_POINTERS))
+def test_rewriting_jobs_reject_pointers_the_read_path_rejects(case, job):
+    # GC and the merge's full re-separation copy pointed-to values into a
+    # new log; a pointer that does not name its key's record must fail
+    # there too, instead of committing another key's value (or a torn one)
+    # under b"wanted".
+    ctx = make_ctx(tiny_unikv_config(partial_kv_separation=False))
+    part = Partition(ctx, ctx.alloc_partition_id(), b"")
+    log = ctx.alloc_log_number()
+    writer = VLogWriter(ctx.disk, ctx.log_name(log), partition=part.id,
+                        log_number=log, tag="test")
+    writer.append(b"other", b"other-value")
+    offset = writer.size()
+    writer.append(b"wanted", b"wanted-value")
+    writer.close()
+    length = vlog_record_size(b"wanted", b"wanted-value")
+    ptr = POINTER.pack(part.id, *BAD_POINTERS[case](log, offset, length))
+    part.sorted.replace_tables([build_table(ctx, [(b"wanted", KIND_VPTR, ptr)])])
+    part.add_log(log)
+    with pytest.raises(CorruptionError):
+        part.get(b"wanted")
+    committed = ctx.disk.size(ctx.manifest.name)
+    tables = list(part.sorted.tables)
+    with pytest.raises(CorruptionError):
+        job(ctx, part)
+    assert ctx.disk.size(ctx.manifest.name) == committed
+    assert part.sorted.tables == tables and part.log_numbers == {log}
 
 
 # -- shared-log reference registry ------------------------------------------------------

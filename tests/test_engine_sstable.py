@@ -8,6 +8,7 @@ from repro.engine import BlockCache, SSTableBuilder, SSTableReader
 from repro.engine.block import Block, BlockBuilder
 from repro.engine.errors import CorruptionError
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
+from repro.engine.sstable import write_tables
 from repro.env import SimulatedDisk
 from repro.env.iostats import RAND, READ
 from repro.obs import MetricsRegistry
@@ -169,6 +170,65 @@ def test_sstable_corrupt_magic_detected():
     disk.create("t").append(bytes(buf), tag="test")
     with pytest.raises(CorruptionError):
         SSTableReader(disk, "t")
+
+
+# -- write_tables: the one table-cutting loop -------------------------------------
+
+RUN = [(b"%03d" % i, KIND_VALUE, b"x" * 20) for i in range(20)]
+
+
+def _cut_size(cut_after: int) -> int:
+    """A table size that the ``cut_after``-th record of RUN reaches first."""
+    builder = SSTableBuilder(SimulatedDisk(), "ref", tag="t", block_size=64)
+    sizes = []
+    for record in RUN:
+        builder.add(*record)
+        sizes.append(builder.estimated_size)
+    assert max(sizes[:cut_after - 1]) < sizes[cut_after - 1]
+    return sizes[cut_after - 1]
+
+
+def _builders(disk, events):
+    names = (f"t{i}" for i in range(100))
+
+    def new_builder():
+        events.append("create")
+        return SSTableBuilder(disk, next(names), tag="t", block_size=64)
+    return new_builder
+
+
+def test_write_tables_empty_stream_creates_no_table():
+    disk = SimulatedDisk()
+    events = []
+    assert write_tables(iter([]), _builders(disk, events), 100) == []
+    assert events == [] and disk.list() == []
+
+
+def test_write_tables_cuts_after_the_record_reaching_table_size():
+    disk = SimulatedDisk()
+    tables = write_tables(RUN, _builders(disk, []), _cut_size(7))
+    # Every table starts empty and RUN's records are all the same size, so
+    # each full table holds 7; the last, partial one is finished too.
+    assert [m.num_entries for m in tables] == [7, 7, 6]
+    assert [m.name for m in tables] == disk.list() == ["t0", "t1", "t2"]
+    got = [r for m in tables for r in SSTableReader(disk, m.name).entries(tag="t")]
+    assert got == RUN
+
+
+def test_write_tables_pulls_a_record_before_creating_its_table():
+    # A side effect of pulling a record (say, appending its value to a
+    # log) lands before the create of the table that record starts.
+    disk = SimulatedDisk()
+    events = []
+
+    def records():
+        for record in RUN:
+            events.append(record[0])
+            yield record
+
+    write_tables(records(), _builders(disk, events), _cut_size(7))
+    creates = [i for i, event in enumerate(events) if event == "create"]
+    assert [events[i - 1] for i in creates] == [RUN[0][0], RUN[7][0], RUN[14][0]]
 
 
 def test_table_meta_overlaps():
