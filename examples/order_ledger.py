@@ -57,7 +57,7 @@ def main() -> None:
     metrics = run_workload(
         db, ((f"update", b"order:%08d" % rng.randrange(5000),
               rng.randbytes(40)) for __ in range(3000)),
-        phase="updates", collect_latencies=True)
+        phase="updates")
     print("\nmodelled update latency: p50 %.1f us, p99 %.1f us, p99.9 %.1f us"
           % (metrics.latency_us("update", 50),
              metrics.latency_us("update", 99),

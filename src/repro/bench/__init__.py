@@ -1,26 +1,19 @@
 """Benchmark harness.
 
-Drives workloads against the engines, collects I/O-accounting deltas, and
-converts them into paper-style metrics (throughput on the modelled device,
-write/read amplification, index memory) and formatted tables.
+Drives workloads against the engines, reads each phase off the store's
+virtual clock and I/O counters, and turns them into paper-style metrics
+(throughput on the modelled device, write/read amplification, index memory)
+and formatted tables.
 """
 
 from repro.bench.metrics import RunMetrics
-from repro.bench.report import (
-    format_runtime_table,
-    format_series,
-    format_table,
-    runtime_row,
-)
-from repro.bench.runner import effective_cost_model, execute_ops, run_workload
+from repro.bench.report import format_series, format_table
+from repro.bench.runner import apply_op, run_workload
 
 __all__ = [
     "RunMetrics",
     "run_workload",
-    "execute_ops",
-    "effective_cost_model",
+    "apply_op",
     "format_table",
     "format_series",
-    "format_runtime_table",
-    "runtime_row",
 ]

@@ -1,10 +1,9 @@
-"""Run metrics derived from I/O accounting + the device cost model."""
+"""Run metrics derived from I/O accounting + the store's virtual clock."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.env.cost_model import TimeBreakdown
 from repro.env.iostats import IOStats
 from repro.obs import LogHistogram
 
@@ -13,9 +12,10 @@ from repro.obs import LogHistogram
 class RunMetrics:
     """Everything the paper reports about one workload phase on one engine.
 
-    Throughput is ops divided by *modelled* time: device seconds from the
-    cost model plus a small constant CPU cost per operation (so phases that
-    never touch the device — e.g. memtable hits — don't divide by zero).
+    Throughput is ops divided by *modelled* time: the store's virtual clock
+    over the phase plus a small constant CPU cost per operation (so phases
+    that never touch the device — e.g. memtable hits — don't divide by
+    zero).
     """
 
     engine: str
@@ -23,12 +23,12 @@ class RunMetrics:
     num_ops: int
     user_write_bytes: int
     modelled_seconds: float
-    breakdown: TimeBreakdown
     io: IOStats
+    #: backpressure stall time injected into this phase's foreground (part
+    #: of ``modelled_seconds``)
+    stall_seconds: float = 0.0
     index_memory_bytes: int = 0
-    extra: dict = field(default_factory=dict)
-    #: per-op modelled seconds, keyed by op kind (populated only when the
-    #: runner was asked to collect latencies).  Log-bucketed histograms,
+    #: per-op modelled seconds, keyed by op kind.  Log-bucketed histograms,
     #: not raw sample lists: memory stays O(buckets) however long the run,
     #: and percentiles carry the histogram's bounded relative error.
     latencies: dict[str, LogHistogram] = field(default_factory=dict)
@@ -61,21 +61,10 @@ class RunMetrics:
             return 0.0
         return self.io.read_ops / self.num_ops
 
-    @property
-    def stall_seconds(self) -> float:
-        """Backpressure stall time injected into this phase's foreground."""
-        return self.breakdown.stall_seconds
-
-    @property
-    def background_seconds(self) -> float:
-        """Device time this phase's maintenance spent on background lanes."""
-        return self.breakdown.background_seconds
-
     def latency_us(self, op_kind: str, percentile: float) -> float:
         """Modelled per-op latency percentile in microseconds.
 
-        ``percentile`` in [0, 100].  Requires the runner to have been
-        called with ``collect_latencies=True``.
+        ``percentile`` in [0, 100].
         """
         hist = self.latencies.get(op_kind)
         if not hist:

@@ -33,28 +33,6 @@ def format_series(title: str, x_label: str, xs: Sequence,
     return format_table(title, rows, columns=[x_label, *series.keys()])
 
 
-def runtime_row(engine: str, stats: dict) -> dict:
-    """One report row for an engine's scheduler/stall statistics.
-
-    ``stats`` is a ``write_stall`` view (:func:`repro.obs.write_stall_view`,
-    e.g. ``store.scheduler.describe()``); the row compresses its job and
-    stall accounting for the experiment tables.
-    """
-    return {
-        "engine": engine,
-        "jobs": sum(stats["job_counts"].values()),
-        "job_s": round(sum(stats["job_seconds"].values()), 3),
-        "stall_ms": round(stats["stall_seconds"] * 1000, 2),
-        "stalls": stats["stall_events"],
-        "queue_hw": stats["queue_depth_high_water"],
-    }
-
-
-def format_runtime_table(title: str, rows: Sequence[dict]) -> str:
-    """Render scheduler rows (see :func:`runtime_row`) as a table."""
-    return format_table(title, rows)
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"

@@ -300,7 +300,7 @@ class UniKV(KVStore):
 
     def _submit_flush(self, partition: Partition, trigger) -> Job:
         return self.ctx.scheduler.submit(Job(
-            kind="flush", tag="flush", trigger=trigger,
+            kind="flush", trigger=trigger,
             fn=lambda: self._flush_partition(partition)))
 
     def _flush_partition(self, partition: Partition) -> None:
@@ -346,17 +346,17 @@ class UniKV(KVStore):
     def _run_partition_maintenance(self, partition: Partition) -> None:
         scheduler = self.ctx.scheduler
         merge_job = scheduler.submit(Job(
-            kind="merge", tag="merge", priority=1,
+            kind="merge",
             trigger=partition.needs_merge,
             fn=lambda: merge_partition(self.ctx, partition)))
         if merge_job.ran:
             scheduler.submit(Job(
-                kind="gc", tag="gc", priority=2,
+                kind="gc",
                 trigger=partition.needs_gc,
                 fn=lambda: run_gc(self.ctx, partition)))
         else:
             scheduler.submit(Job(
-                kind="scan_merge", tag="scan_merge", priority=2,
+                kind="scan_merge",
                 trigger=partition.unsorted.needs_scan_merge,
                 fn=lambda: self._scan_merge(partition)))
 
@@ -383,7 +383,7 @@ class UniKV(KVStore):
             changed = False
             for pi, partition in enumerate(self.partitions):
                 job = self.ctx.scheduler.submit(Job(
-                    kind="split", tag="split", priority=1,
+                    kind="split",
                     trigger=partition.needs_split,
                     fn=lambda p=partition: split_partition(self.ctx, p)))
                 if not job.ran or job.result is None:

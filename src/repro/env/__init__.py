@@ -4,13 +4,15 @@ The paper evaluates UniKV on real SSDs with 100 GB datasets.  A pure-Python
 reimplementation cannot produce meaningful wall-clock storage numbers at that
 scale, so every engine in this repository performs its I/O against a
 :class:`SimulatedDisk` — an in-memory file namespace that records each
-operation's byte count and access pattern — and throughput is derived from a
-parametric :class:`DeviceCostModel` applied to those records.  The I/O
-*pattern* each engine produces is real (actual encoded bytes, actual block
-reads), only the device underneath is modelled.
+operation's byte count and access pattern — and throughput is derived from
+the device time a parametric :class:`DeviceCostModel` gives those records.
+:class:`IOStats` prices each I/O as it lands, so its ``seconds`` is a running
+total: the store's virtual clock.  The I/O *pattern* each engine produces is
+real (actual encoded bytes, actual block reads), only the device underneath
+is modelled.
 """
 
-from repro.env.cost_model import DeviceCostModel, TimeBreakdown
+from repro.env.cost_model import DeviceCostModel
 from repro.env.iostats import IOStats, IORecord
 from repro.env.storage import (
     DiskCrashed,
@@ -23,7 +25,6 @@ from repro.env.storage import (
 
 __all__ = [
     "DeviceCostModel",
-    "TimeBreakdown",
     "IOStats",
     "IORecord",
     "SimulatedDisk",

@@ -8,9 +8,9 @@ is recorded here, keyed by three dimensions:
   (positioned block access)
 * ``tag``     — a free-form purpose label supplied by the engine
   (``"wal"``, ``"flush"``, ``"compaction"``, ``"gc"``, ``"lookup"``,
-  ``"scan_value"``, ...).  Tags let the cost model charge background work
-  with a parallelism factor and let the harness compute read/write
-  amplification per purpose.
+  ``"scan_value"``, ...).  Tags let the harness compute read/write
+  amplification per purpose, and let a store divide one purpose's time
+  by a parallelism factor (:attr:`IOStats.divisors`).
 
 :attr:`IOStats.seconds` is the running device time of everything recorded,
 priced with the default :class:`~repro.env.cost_model.DeviceCostModel`.
@@ -39,7 +39,7 @@ def _coefficients(key: tuple[str, str, str]) -> tuple[float, float]:
     if coeffs is None:
         # Imported here: the cost model module imports this one.
         from repro.env.cost_model import DeviceCostModel
-        coeffs = _COEFFICIENTS[key] = DeviceCostModel().coefficients(*key)
+        coeffs = _COEFFICIENTS[key] = DeviceCostModel().coefficients(*key[:2])
     return coeffs
 
 
@@ -62,6 +62,10 @@ class IOStats:
     #: modelled device seconds of the records: priced by :meth:`record`,
     #: carried by snapshot/delta/merge
     seconds: float = field(default=0.0, compare=False)
+    #: per-tag parallelism: a tag's records are priced at 1/divisor of the
+    #: default model (RocksDB's multi-threaded compaction); set before the
+    #: tag's first record
+    divisors: dict[str, float] = field(default_factory=dict, compare=False)
 
     def record(self, op: str, pattern: str, tag: str, nbytes: int) -> None:
         key = (op, pattern, tag)
@@ -72,9 +76,13 @@ class IOStats:
         rec.bytes += nbytes
         self.seconds += rec.op_seconds + nbytes * rec.byte_seconds
 
-    @staticmethod
-    def _new_record(key: tuple[str, str, str]) -> IORecord:
-        return IORecord(0, 0, *_coefficients(key))
+    def _new_record(self, key: tuple[str, str, str]) -> IORecord:
+        op_seconds, byte_seconds = _coefficients(key)
+        divisor = self.divisors.get(key[2])
+        if divisor:
+            op_seconds /= divisor
+            byte_seconds /= divisor
+        return IORecord(0, 0, op_seconds, byte_seconds)
 
     # -- aggregation helpers -------------------------------------------------
 

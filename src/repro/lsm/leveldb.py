@@ -146,14 +146,14 @@ class LevelDBStore(KVStore):
 
     def flush(self) -> None:
         self.scheduler.submit(Job(
-            kind="flush", tag="flush", trigger=lambda: bool(self._mem),
+            kind="flush", trigger=lambda: bool(self._mem),
             fn=self._flush_memtable))
 
     # -- write path ---------------------------------------------------------------
 
     def _maybe_flush(self) -> None:
         self.scheduler.submit(Job(
-            kind="flush", tag="flush",
+            kind="flush",
             trigger=lambda: self._mem.approximate_size >= self.config.memtable_size,
             fn=self._flush_memtable))
 
@@ -198,14 +198,14 @@ class LevelDBStore(KVStore):
         while True:
             if len(self._state.levels[0]) >= self.config.l0_compaction_trigger:
                 self.scheduler.submit(Job(
-                    kind="compaction", tag="compaction", priority=1,
+                    kind="compaction",
                     fn=self._compact_l0))
                 continue
             level = self._pick_overfull_level()
             if level is None:
                 return
             self.scheduler.submit(Job(
-                kind="compaction", tag="compaction", priority=1,
+                kind="compaction",
                 fn=lambda lvl=level: self._compact_level(lvl)))
 
     def _pick_overfull_level(self) -> int | None:

@@ -135,14 +135,14 @@ class PebblesDBStore(KVStore):
 
     def flush(self) -> None:
         self.scheduler.submit(Job(
-            kind="flush", tag="flush", trigger=lambda: bool(self._mem),
+            kind="flush", trigger=lambda: bool(self._mem),
             fn=self._flush_memtable))
 
     # -- write path ------------------------------------------------------------------
 
     def _maybe_flush(self) -> None:
         self.scheduler.submit(Job(
-            kind="flush", tag="flush",
+            kind="flush",
             trigger=lambda: self._mem.approximate_size >= self.config.memtable_size,
             fn=self._flush_memtable))
 
@@ -159,7 +159,7 @@ class PebblesDBStore(KVStore):
         self._disk.delete(old_wal.name)
         self._mem = MemTable(seed=self.config.seed)
         self.scheduler.submit(Job(
-            kind="compaction", tag="compaction", priority=1,
+            kind="compaction",
             trigger=lambda: len(self._l0) >= self.config.l0_compaction_trigger,
             fn=self._compact_l0))
 
@@ -264,7 +264,7 @@ class PebblesDBStore(KVStore):
         for li in range(level_index, len(self._levels)):
             for guard in list(self._levels[li]):
                 self.scheduler.submit(Job(
-                    kind="compaction", tag="compaction", priority=1,
+                    kind="compaction",
                     trigger=lambda g=guard:
                         len(g.files) > self.max_files_per_guard,
                     fn=lambda lvl=li, g=guard: self._compact_guard(lvl, g)))

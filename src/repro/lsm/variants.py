@@ -6,7 +6,7 @@ configuration and policy deltas:
 
 * **RocksDB** — larger write buffer, multi-threaded compaction.  The extra
   threads do not change *what* I/O happens, only how much of it overlaps;
-  the bench harness therefore charges this store's ``compaction`` I/O with a
+  the store's disk therefore prices its ``compaction`` I/O with a
   parallelism factor (:attr:`RocksDBStore.compaction_parallelism`).
 * **HyperLevelDB** — delays L0 compaction (higher trigger) and picks the
   compaction input with the least next-level overlap, reducing write
@@ -26,8 +26,8 @@ class RocksDBStore(LevelDBStore):
     """Leveled LSM tuned like RocksDB."""
 
     name = "RocksDB"
-    #: in synchronous scheduler mode (background_threads=0) the bench
-    #: harness divides this store's compaction time by this factor
+    #: in synchronous scheduler mode (background_threads=0) the disk
+    #: divides this store's compaction time by this factor
     #: (multi-threaded compaction overlaps device time only partially — a
     #: load saturates sequential bandwidth regardless of thread count).
     #: With background_threads >= 1 the maintenance scheduler models the
@@ -45,6 +45,9 @@ class RocksDBStore(LevelDBStore):
             memtable_size=base.memtable_size * 2,
             sstable_size=base.sstable_size * 2,
         )
+        disk = disk if disk is not None else SimulatedDisk()
+        if tuned.background_threads <= 0:
+            disk.stats.divisors["compaction"] = self.compaction_parallelism
         super().__init__(disk=disk, config=tuned, prefix=prefix)
 
 

@@ -137,7 +137,7 @@ class WiscKeyStore(KVStore):
         budget = len(self._segments)
         while budget > 0:
             job = self.scheduler.submit(Job(
-                kind="gc", tag="gc", priority=2,
+                kind="gc",
                 trigger=lambda: (self.vlog_bytes() > low
                                  and len(self._segments) > 1),
                 fn=self._gc_tail_segment))

@@ -56,17 +56,14 @@ class Job:
     flush whose trigger cascade merges); ``trigger`` is re-evaluated at
     submit time and must be free of I/O accounting side effects (the
     predicates used here only consult in-memory state and ``disk.size()``,
-    which records nothing).  ``tag`` names the I/O purpose for reports;
-    ``priority`` ranks jobs (0 highest) — with state changes applied at
-    submit time it is bookkeeping, kept so an async drain order is already
-    expressible.
+    which records nothing).  ``kind`` labels the job's
+    ``maintenance_job_seconds`` histogram and the stalls it causes; the I/O
+    it does carries the engine's own tags.
     """
 
     kind: str
     fn: Callable[[], Any]
     trigger: Callable[[], bool] | None = None
-    priority: int = 0
-    tag: str | None = None
     #: filled in by the scheduler
     ran: bool = False
     result: Any = None

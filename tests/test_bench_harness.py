@@ -2,22 +2,16 @@
 
 import pytest
 
-from repro import LevelDBStore, RocksDBStore, UniKV
-from repro.bench import (
-    effective_cost_model,
-    execute_ops,
-    format_series,
-    format_table,
-    run_workload,
-)
+from repro import LevelDBStore, RocksDBStore
+from repro.bench import format_series, format_table, run_workload
 from repro.bench.experiments import PAPER_ENGINES, make_engine
-from repro.env.cost_model import DeviceCostModel
+from repro.env import DeviceCostModel, IOStats
+from repro.env.iostats import SEQ, WRITE
 from repro.workloads import load_phase
-from tests.conftest import tiny_unikv_config
 from tests.test_lsm_leveldb import small_config
 
 
-def test_execute_ops_dispatch():
+def test_run_workload_dispatch():
     db = LevelDBStore(config=small_config())
     ops = [
         ("insert", b"a", b"1"),
@@ -27,16 +21,16 @@ def test_execute_ops_dispatch():
         ("rmw", b"a", b"3"),
         ("delete", b"a"),
     ]
-    num_ops, user_bytes = execute_ops(db, ops)
-    assert num_ops == 6
-    assert user_bytes == 3 * (1 + 1)
+    metrics = run_workload(db, ops)
+    assert metrics.num_ops == 6
+    assert metrics.user_write_bytes == 3 * (1 + 1)
     assert db.get(b"a") is None
 
 
-def test_execute_ops_rejects_unknown():
+def test_run_workload_rejects_unknown():
     db = LevelDBStore(config=small_config())
     with pytest.raises(ValueError):
-        execute_ops(db, [("frobnicate", b"x")])
+        run_workload(db, [("frobnicate", b"x")])
 
 
 def test_run_workload_metrics_sane():
@@ -60,15 +54,6 @@ def test_run_workload_isolates_phases():
     assert read_metrics.num_ops == 1
 
 
-def test_overlapped_store_rejects_a_model_its_lanes_do_not_use():
-    db = UniKV(config=tiny_unikv_config(background_threads=1))
-    with pytest.raises(ValueError):
-        run_workload(db, load_phase(10, 50),
-                     cost_model=DeviceCostModel(seq_write_mb_s=100.0))
-    assert run_workload(db, load_phase(10, 50),
-                        cost_model=DeviceCostModel()).num_ops == 10
-
-
 def test_cpu_cost_prevents_zero_division():
     db = LevelDBStore(config=small_config())
     db.put(b"k", b"v")
@@ -77,25 +62,18 @@ def test_cpu_cost_prevents_zero_division():
     assert metrics.throughput_kops < float("inf")
 
 
-def test_effective_cost_model_rocksdb_compaction():
-    db = RocksDBStore(config=small_config())
-    model = effective_cost_model(db, DeviceCostModel())
-    assert model.parallelism["compaction"] == db.compaction_parallelism
-
-
-def test_effective_cost_model_applies_no_scan_value_divisor():
-    # Scan value fetches are readahead I/O priced by the device, so the
-    # bench and the store's own clock charge them alike.
-    db = UniKV(config=tiny_unikv_config())
-    model = effective_cost_model(db, DeviceCostModel())
-    assert "scan_value" not in model.parallelism
-    assert model == DeviceCostModel()
-
-
-def test_effective_cost_model_plain_leveldb_unchanged():
-    db = LevelDBStore(config=small_config())
-    model = effective_cost_model(db, DeviceCostModel())
-    assert model.parallelism == {}
+def test_rocksdb_halves_compaction_time_only_when_synchronous():
+    # Multi-threaded compaction is priced on the disk's clock at half the
+    # default model; with background lanes the scheduler models the overlap
+    # and the write is priced in full.
+    price = IOStats()
+    price.record(WRITE, SEQ, "compaction", 4096)
+    full = DeviceCostModel().seconds(price)
+    for bg, expected in ((0, full / 2), (1, full)):
+        db = RocksDBStore(config=small_config(background_threads=bg))
+        before = db.disk.stats.seconds
+        db.disk.create("probe").append(b"x" * 4096, tag="compaction")
+        assert db.disk.stats.seconds - before == pytest.approx(expected, rel=1e-12)
 
 
 # -- reporting -------------------------------------------------------------------------

@@ -67,22 +67,15 @@ def test_client_cli_validates_arguments(capsys):
 def test_latencies_collected_per_op_kind():
     db = LevelDBStore(config=small_config())
     ops = list(load_phase(200, 40)) + [("read", b"user%012d" % 7)]
-    metrics = run_workload(db, ops, phase="mixed", collect_latencies=True)
+    metrics = run_workload(db, ops, phase="mixed")
     assert len(metrics.latencies["insert"]) == 200
     assert len(metrics.latencies["read"]) == 1
     assert metrics.latencies["insert"].min > 0
 
 
-def test_latencies_off_by_default():
-    db = LevelDBStore(config=small_config())
-    metrics = run_workload(db, load_phase(50, 40), phase="load")
-    assert metrics.latencies == {}
-
-
 def test_latency_percentile_math():
     db = LevelDBStore(config=small_config())
-    metrics = run_workload(db, load_phase(300, 40), phase="load",
-                           collect_latencies=True)
+    metrics = run_workload(db, load_phase(300, 40), phase="load")
     p50 = metrics.latency_us("insert", 50)
     p99 = metrics.latency_us("insert", 99)
     assert 0 < p50 <= p99
@@ -95,8 +88,7 @@ def test_latency_percentile_math():
 def test_tail_latency_reflects_foreground_maintenance():
     """Write tails come from ops that trigger flush+merge stalls."""
     db = UniKV(config=tiny_unikv_config())
-    metrics = run_workload(db, load_phase(1500, 60), phase="load",
-                           collect_latencies=True)
+    metrics = run_workload(db, load_phase(1500, 60), phase="load")
     p50 = metrics.latency_us("insert", 50)
     p999 = metrics.latency_us("insert", 99.9)
     assert p999 > p50 * 10  # flush/merge/split stalls dominate the tail
@@ -104,7 +96,6 @@ def test_tail_latency_reflects_foreground_maintenance():
 
 def test_latency_totals_consistent_with_phase_time():
     db = LevelDBStore(config=small_config())
-    metrics = run_workload(db, load_phase(250, 40), phase="load",
-                           collect_latencies=True)
+    metrics = run_workload(db, load_phase(250, 40), phase="load")
     total = sum(hist.sum for hist in metrics.latencies.values())
-    assert total == pytest.approx(metrics.modelled_seconds, rel=0.05)
+    assert total == pytest.approx(metrics.modelled_seconds, rel=1e-9)

@@ -62,27 +62,14 @@ def test_rand_write_pays_per_op_latency():
 
 
 def test_parallelism_divides_tag_time():
-    base = DeviceCostModel()
-    par = base.with_parallelism(compaction=4.0)
-    s = IOStats()
-    s.record(WRITE, SEQ, "compaction", 100 * _MB)
-    s.record(WRITE, SEQ, "wal", 100 * _MB)
-    b_base = base.breakdown(s)
-    b_par = par.breakdown(s)
-    assert b_par.tag("compaction") == pytest.approx(b_base.tag("compaction") / 4.0)
-    assert b_par.tag("wal") == pytest.approx(b_base.tag("wal"))
-
-
-def test_with_parallelism_does_not_mutate_original():
-    base = DeviceCostModel()
-    base.with_parallelism(gc=8.0)
-    assert "gc" not in base.parallelism
-
-
-def test_breakdown_total_sums_tags():
-    model = DeviceCostModel()
-    s = IOStats()
-    s.record(WRITE, SEQ, "a", _MB)
-    s.record(READ, RAND, "b", 4096)
-    b = model.breakdown(s)
-    assert b.total == pytest.approx(b.tag("a") + b.tag("b"))
+    # An IOStats divisor prices only its own tag's records below the
+    # default model; every other tag keeps the full price.
+    plain, divided = IOStats(), IOStats(divisors={"compaction": 4.0})
+    for stats in (plain, divided):
+        stats.record(WRITE, SEQ, "compaction", 100 * _MB)
+        stats.record(WRITE, SEQ, "wal", 100 * _MB)
+        stats.record(READ, RAND, "lookup", 4096)
+    full = DeviceCostModel().seconds(plain)
+    compaction = 100 * _MB / (400.0 * _MB)  # the default sequential write rate
+    assert plain.seconds == pytest.approx(full)
+    assert divided.seconds == pytest.approx(full - compaction + compaction / 4.0)

@@ -25,22 +25,18 @@ def raw_latencies(ops) -> dict[str, list[float]]:
     """The pre-histogram collection: per-op modelled seconds as lists.
 
     Reproduces run_workload's measurement (synchronous mode: per-op disk
-    delta through the effective cost model plus the fixed CPU cost) by
+    delta through the default cost model plus the fixed CPU cost) by
     running each op individually on an identically configured store.
     """
-    from repro.bench.runner import (
-        DEFAULT_CPU_US_PER_OP,
-        effective_cost_model,
-        execute_ops,
-    )
+    from repro.bench.runner import apply_op
     from repro.env.cost_model import DeviceCostModel
 
     store = UniKV(config=tiny_unikv_config())
-    model = effective_cost_model(store, DeviceCostModel())
+    model = DeviceCostModel()
     out: dict[str, list[float]] = {}
     cursor = store.disk.stats.snapshot()
     for op in ops:
-        execute_ops(store, [op])
+        apply_op(store, op)
         now = store.disk.stats.snapshot()
         seconds = (model.seconds(now.delta_since(cursor))
                    + DEFAULT_CPU_US_PER_OP * 1e-6)
@@ -58,7 +54,7 @@ def mixed_workload():
 def test_histogram_percentiles_match_raw_samples():
     ops = mixed_workload()
     metrics = run_workload(UniKV(config=tiny_unikv_config()), ops,
-                           phase="mixed", collect_latencies=True)
+                           phase="mixed")
     raw = raw_latencies(ops)
     assert set(metrics.latencies) == set(raw)
     for kind, samples in raw.items():
@@ -77,7 +73,7 @@ def test_histogram_percentiles_match_raw_samples():
 def test_latency_memory_is_bounded_by_buckets_not_samples():
     ops = list(load_phase(3000, value_size=40))
     metrics = run_workload(UniKV(config=tiny_unikv_config()), ops,
-                           phase="load", collect_latencies=True)
+                           phase="load")
     hist = metrics.latencies["insert"]
     assert hist.count == 3000
     # The whole point of the change: storage grows with distinct latency
@@ -95,7 +91,7 @@ def test_scan_latency_is_one_clock_for_bench_and_store():
             for __ in range(30_000)]
     run_workload(db, load, phase="load")
     scans = [("scan", b"user%08d" % rng.randrange(60_000), 50) for __ in range(300)]
-    metrics = run_workload(db, scans, phase="scan", collect_latencies=True)
+    metrics = run_workload(db, scans, phase="scan")
     store_hist = db.metrics.histogram("unikv_op_seconds", op="scan")
     assert store_hist.count == len(scans)
     for pct in (50.0, 99.0):
