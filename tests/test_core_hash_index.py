@@ -1,5 +1,7 @@
 """Unit + property tests for UniKV's two-level hash index."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,3 +155,23 @@ def test_kicks_after_checkpoint_restore_fall_back_to_chaining():
         assert i in restored.lookup(f"a{i:03d}".encode())
     for i in range(40):
         assert 100 + i in restored.lookup(f"b{i:03d}".encode())
+
+
+#: sha256 over ``repr((buckets, tag))`` of HASH_PIN_KEYS for every
+#: (num_hashes, num_buckets) below.  Checkpoint bytes and false-positive
+#: probes depend on these values: a rewrite of the hashing must keep them.
+HASH_PIN_DIGEST = "6dcb27dc8ce67f688de656532acc731a8978e0bb9f10dbec145bfa9b9ba41afe"
+HASH_PIN_KEYS = [b""] + [b"user%016x" % (i * 0x9E3779B97F4A7C15 % (1 << 64))
+                         for i in range(40)] + [b"key-%05d" % (i * 7) for i in range(23)]
+
+
+def test_candidate_buckets_and_tags_are_pinned():
+    digest = hashlib.sha256()
+    for num_hashes in (2, 3, 4):
+        for num_buckets in (64, 2048, 4096):
+            idx = HashIndex(num_buckets=num_buckets, num_hashes=num_hashes)
+            for key in HASH_PIN_KEYS:
+                buckets, tag = idx._candidates_and_tag(key)
+                digest.update(repr((list(buckets), tag)).encode())
+    assert len(HASH_PIN_KEYS) == 64
+    assert digest.hexdigest() == HASH_PIN_DIGEST
