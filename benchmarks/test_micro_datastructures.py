@@ -8,11 +8,12 @@ the part of the system where wall-clock is meaningful at reduced scale.
 import random
 
 from repro.core.hash_index import HashIndex
-from repro.engine.block import Block, BlockBuilder
 from repro.engine.iterators import merge_sorted
 from repro.engine.keys import KIND_VALUE
 from repro.engine.memtable import MemTable
 from repro.engine.skiplist import SkipList
+from repro.engine.sstable import SSTableBuilder, SSTableReader
+from repro.env import SimulatedDisk
 
 N = 2000
 
@@ -83,13 +84,15 @@ def test_block_encode_decode(benchmark):
              for i in range(500)]
 
     def roundtrip():
-        b = BlockBuilder()
+        # One data block: a table whose block size exceeds its records.
+        disk = SimulatedDisk()
+        builder = SSTableBuilder(disk, "t", tag="bench", block_size=1 << 20)
         for record in items:
-            b.add(*record)
-        return Block.decode(b.finish())
+            builder.add(*record)
+        builder.finish()
+        return list(SSTableReader(disk, "t").entries(tag="bench"))
 
-    block = benchmark(roundtrip)
-    assert len(block) == 500
+    assert benchmark(roundtrip) == items
 
 
 def test_merging_iterator(benchmark):

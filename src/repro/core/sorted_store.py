@@ -122,10 +122,12 @@ class SortedStore:
                 yield reader.entries(tag=tag)
 
     def all_entries(self, tag: str) -> Iterator[Record]:
-        """Full sequential pass over the run (merge/GC/split input)."""
-        for meta in self.tables:
-            reader = self._ctx.table_reader(meta.name, streaming=True)
-            yield from reader.entries(tag=tag)
+        """Full sequential pass over the run (merge/GC/split input); a
+        table is opened only once the pass reaches it."""
+        table_reader = self._ctx.table_reader
+        return chain.from_iterable(
+            table_reader(meta.name, streaming=True).entries(tag=tag)
+            for meta in self.tables)
 
     # -- introspection ------------------------------------------------------------------
 
@@ -176,30 +178,34 @@ def write_run(ctx: StoreContext, partition_id: int, records: Iterable[Record],
 
     def separated() -> Iterator[Record]:
         nonlocal writer, carried_bytes
-        for key, kind, payload in records:
+        append = None
+        old_record = None if old_values is None else old_values.get
+        for record in records:
+            key, kind, payload = record
             if kind == KIND_VALUE:
                 if len(payload) < inline_below:
-                    yield key, kind, payload
+                    yield record
                     continue
                 value = payload
             else:
                 __, old_log, offset, length = unpack_pointer(payload)
-                if old_values is None:
+                if old_record is None:
                     carried_bytes += length
-                    yield key, kind, payload
+                    yield record
                     continue
-                found = old_values.get((old_log, offset))
+                found = old_record((old_log, offset))
                 if found is None or found[0] != key or found[1] != length:
                     raise CorruptionError(
                         f"value pointer of {key!r} does not name its record "
                         f"(log {old_log} @{offset}, {length} bytes)")
                 value = found[2]
-            if writer is None:
+            if append is None:
                 log_number = ctx.alloc_log_number()
                 writer = VLogWriter(ctx.disk, ctx.log_name(log_number),
                                     partition=partition_id,
                                     log_number=log_number, tag=tag)
-            yield key, KIND_VPTR, writer.append(key, value)
+                append = writer.append
+            yield key, KIND_VPTR, append(key, value)
 
     tables = write_tables(separated(), lambda: ctx.new_table(tag),
                           ctx.config.sstable_size)

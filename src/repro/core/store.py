@@ -310,10 +310,11 @@ class UniKV(KVStore):
         self.ctx.crash_point("flush:start")
         builder = self.ctx.new_table("flush")
         table_id = int(builder.name.rsplit("-", 1)[1])
-        keys: list[bytes] = []
+        add, keys = builder.add, []
+        add_key = keys.append
         for key, kind, value in partition.mem.entries():
-            builder.add(key, kind, value)
-            keys.append(key)
+            add(key, kind, value)
+            add_key(key)
         meta = builder.finish()
         self.ctx.crash_point("flush:before_commit")
         self.ctx.manifest.append({

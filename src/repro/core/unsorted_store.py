@@ -40,8 +40,9 @@ class UnsortedStore:
                           keys: list[bytes]) -> None:
         """Register a freshly flushed table and index its keys."""
         self.tables[table_id] = meta
+        insert = self.index.insert
         for key in keys:
-            self.index.insert(key, table_id)
+            insert(key, table_id)
         self.flushes_since_checkpoint += 1
 
     # -- reads -------------------------------------------------------------------
@@ -97,10 +98,11 @@ class UnsortedStore:
         from repro.engine.iterators import merge_sorted
 
         builder = self._ctx.new_table("scan_merge")
-        keys: list[bytes] = []
+        add, keys = builder.add, []
+        add_key = keys.append
         for key, kind, value in merge_sorted(self.all_entry_sources(tag="scan_merge")):
-            builder.add(key, kind, value)
-            keys.append(key)
+            add(key, kind, value)
+            add_key(key)
         meta = builder.finish()
         old_names = [m.name for m in self.tables.values()]
         return old_names, meta, keys
@@ -110,8 +112,9 @@ class UnsortedStore:
         """Install the merged table and rebuild the hash index over it."""
         self.tables = {table_id: meta}
         self.index.clear()
+        insert = self.index.insert
         for key in keys:
-            self.index.insert(key, table_id)
+            insert(key, table_id)
         for name in old_names:
             self._ctx.drop_table(name)
 

@@ -20,6 +20,10 @@ Two record encodings exist, selected by the format byte:
 Compression is opt-in per engine (``block_prefix_compression`` in the
 configs); it shrinks key-dense blocks (UniKV's SortedStore key+pointer
 tables especially) at a small CPU cost.
+
+Blocks are encoded by :class:`~repro.engine.sstable.SSTableBuilder`, which
+appends each record straight into the table's open block; this module
+holds the format and the decoder.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from bisect import bisect_left
 from typing import Iterator
 
 from repro.engine.errors import CorruptionError
-from repro.engine.keys import (ENTRY_HEADER, ENTRY_HEADER_SIZE, encode_entry, pack_u32,
-                               unpack_u32)
+from repro.engine.keys import ENTRY_HEADER, ENTRY_HEADER_SIZE, unpack_u32
 
 DEFAULT_BLOCK_SIZE = 4096
 
@@ -41,60 +44,16 @@ FORMAT_PREFIX = 1
 #: a full key is restated every this many prefix-compressed records
 RESTART_INTERVAL = 16
 
-_PREFIX_HDR = struct.Struct("<HIIB")  # shared, non_shared, value len, kind
+#: header of one prefix-compressed record: shared, non_shared, value len, kind
+PREFIX_HEADER = struct.Struct("<HIIB")
 
 
-def _shared_prefix_len(a: bytes, b: bytes) -> int:
-    limit = min(len(a), len(b), 0xFFFF)
-    i = 0
-    while i < limit and a[i] == b[i]:
-        i += 1
-    return i
-
-
-class BlockBuilder:
-    """Accumulates sorted records for one data block."""
-
-    def __init__(self, prefix_compression: bool = False) -> None:
-        self._chunks: list[bytes] = []
-        self._count = 0
-        self._size = 1  # format byte
-        self._prefix = prefix_compression
-        self.first_key: bytes | None = None
-        self.last_key: bytes | None = None
-
-    def add(self, key: bytes, kind: int, value: bytes) -> None:
-        if self.last_key is not None and key <= self.last_key:
-            raise ValueError("block records must be added in strictly increasing key order")
-        if self.first_key is None:
-            self.first_key = key
-        if self._prefix:
-            if self.last_key is None or self._count % RESTART_INTERVAL == 0:
-                shared = 0
-            else:
-                shared = _shared_prefix_len(self.last_key, key)
-            suffix = key[shared:]
-            chunk = _PREFIX_HDR.pack(shared, len(suffix), len(value), kind) \
-                + suffix + value
-        else:
-            chunk = encode_entry(key, kind, value)
-        self.last_key = key
-        self._chunks.append(chunk)
-        self._count += 1
-        self._size += len(chunk)
-
-    @property
-    def estimated_size(self) -> int:
-        return self._size + 8  # count trailer + CRC
-
-    @property
-    def empty(self) -> bool:
-        return self._count == 0
-
-    def finish(self) -> bytes:
-        fmt = FORMAT_PREFIX if self._prefix else FORMAT_PLAIN
-        body = bytes([fmt]) + b"".join(self._chunks) + pack_u32(self._count)
-        return body + pack_u32(zlib.crc32(body))
+def shared_prefix_len(a: bytes, b: bytes) -> int:
+    """Length of the common prefix of ``a`` and ``b``, at most 0xFFFF."""
+    n = min(len(a), len(b), 0xFFFF)
+    diff = int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")
+    # The first differing byte is the highest nonzero byte of ``diff``.
+    return n - (diff.bit_length() + 7) // 8
 
 
 class Block:
@@ -162,10 +121,10 @@ class Block:
         prev = b""
         nbytes = 0
         for __ in range(count):
-            if pos + _PREFIX_HDR.size > end:
+            if pos + PREFIX_HEADER.size > end:
                 raise CorruptionError("block record count exceeds body")
-            shared, non_shared, vlen, kind = _PREFIX_HDR.unpack_from(buf, pos)
-            pos += _PREFIX_HDR.size
+            shared, non_shared, vlen, kind = PREFIX_HEADER.unpack_from(buf, pos)
+            pos += PREFIX_HEADER.size
             if shared > len(prev) or pos + non_shared + vlen > end:
                 raise CorruptionError("prefix-compressed record out of range")
             key = prev[:shared] + buf[pos:pos + non_shared]

@@ -37,7 +37,7 @@ def merge_sorted(sources: Iterable[Iterator[Record]],
 
     heapreplace, heappop = heapq.heapreplace, heapq.heappop
     prev_key: bytes | None = None
-    while heap:
+    while len(heap) > 1:
         key, priority, it, record = heap[0]
         # Refill from the source just consumed before emitting: a refill
         # can read a block, and a scan must keep its reads in this order.
@@ -51,6 +51,22 @@ def merge_sorted(sources: Iterable[Iterator[Record]],
         prev_key = key
         if drop_tombstones and record[1] == KIND_TOMBSTONE:
             continue
+        yield record
+    if not heap:
+        return
+    # One source left: it passes straight through.  Only its first key can
+    # repeat the last one emitted (an older version, skipped), and each
+    # record is still emitted after the next one is pulled.
+    key, __, it, record = heap[0]
+    if key == prev_key:
+        record = next(it, None)
+        if record is None:
+            return
+    for nxt in it:
+        if not drop_tombstones or record[1] != KIND_TOMBSTONE:
+            yield record
+        record = nxt
+    if not drop_tombstones or record[1] != KIND_TOMBSTONE:
         yield record
 
 

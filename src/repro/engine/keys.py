@@ -17,7 +17,8 @@ KIND_VALUE = 0
 KIND_TOMBSTONE = 1
 KIND_VPTR = 2
 
-_KINDS = (KIND_VALUE, KIND_TOMBSTONE, KIND_VPTR)
+#: every valid record kind
+KINDS = (KIND_VALUE, KIND_TOMBSTONE, KIND_VPTR)
 
 #: Sentinel object marking a deletion in in-memory maps.
 TOMBSTONE = object()
@@ -29,7 +30,7 @@ ENTRY_HEADER = struct.Struct("<IIB")
 
 def encode_entry(key: bytes, kind: int, value: bytes) -> bytes:
     """Serialize one (key, kind, value) record."""
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise ValueError(f"unknown record kind {kind}")
     return ENTRY_HEADER.pack(len(key), len(value), kind) + key + value
 

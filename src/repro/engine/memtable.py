@@ -9,12 +9,16 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE, entry_size
+from repro.engine.keys import ENTRY_HEADER_SIZE, KIND_TOMBSTONE, KIND_VALUE
 from repro.engine.skiplist import SkipList
 
 
 class MemTable:
-    """Sorted buffer of (key -> kind, value) with approximate sizing."""
+    """Sorted buffer of (key -> kind, value) with approximate sizing.
+
+    The skiplist maps each key to its whole ``(key, kind, value)`` record,
+    so a flush or scan reads records straight off the nodes.
+    """
 
     def __init__(self, seed: int = 0) -> None:
         self._table = SkipList(seed=seed)
@@ -27,11 +31,11 @@ class MemTable:
         self._insert(key, KIND_TOMBSTONE, b"")
 
     def _insert(self, key: bytes, kind: int, value: bytes) -> None:
-        prior = self._table.get(key)
-        if prior is not None:
-            self._size -= entry_size(key, prior[1])
-        self._table.insert(key, (kind, value))
-        self._size += entry_size(key, value)
+        prior = self._table.insert(key, (key, kind, value))
+        if prior is None:
+            self._size += ENTRY_HEADER_SIZE + len(key) + len(value)
+        else:
+            self._size += len(value) - len(prior[2])
 
     def get(self, key: bytes) -> tuple[int, bytes] | None:
         """(kind, value) for ``key``, or None if the key is absent.
@@ -39,16 +43,15 @@ class MemTable:
         A tombstone is a positive answer (``kind == KIND_TOMBSTONE``): the
         caller must stop searching older data.
         """
-        return self._table.get(key)
+        record = self._table.get(key)
+        return None if record is None else (record[1], record[2])
 
     def entries(self) -> Iterator[tuple[bytes, int, bytes]]:
         """(key, kind, value) in ascending key order."""
-        for key, (kind, value) in self._table.items():
-            yield key, kind, value
+        return self._table.values()
 
     def entries_from(self, start: bytes) -> Iterator[tuple[bytes, int, bytes]]:
-        for key, (kind, value) in self._table.items_from(start):
-            yield key, kind, value
+        return self._table.values_from(start)
 
     @property
     def approximate_size(self) -> int:

@@ -54,13 +54,15 @@ class SkipList:
             update[i] = node
         return update
 
-    def insert(self, key: bytes, value: object) -> None:
-        """Insert or overwrite ``key``."""
+    def insert(self, key: bytes, value: object) -> object:
+        """Insert or overwrite ``key``; returns the value it replaced, or
+        None."""
         update = self._find_predecessors(key)
         candidate = update[0].forward[0]
         if candidate is not None and candidate.key == key:
+            prior = candidate.value
             candidate.value = value
-            return
+            return prior
         level = self._random_level()
         if level > self._level:
             self._level = level
@@ -69,6 +71,7 @@ class SkipList:
             node.forward[i] = update[i].forward[i]
             update[i].forward[i] = node
         self._len += 1
+        return None
 
     def get(self, key: bytes, default: object = None) -> object:
         node = self._head
@@ -86,19 +89,18 @@ class SkipList:
         sentinel = object()
         return self.get(key, sentinel) is not sentinel
 
-    def items(self) -> Iterator[tuple[bytes, object]]:
-        """All (key, value) pairs in ascending key order."""
+    def values(self) -> Iterator[object]:
+        """All values in ascending key order."""
         node = self._head.forward[0]
         while node is not None:
-            yield node.key, node.value
+            yield node.value
             node = node.forward[0]
 
-    def items_from(self, start: bytes) -> Iterator[tuple[bytes, object]]:
-        """(key, value) pairs with key >= start, in ascending order."""
-        update = self._find_predecessors(start)
-        node = update[0].forward[0]
+    def values_from(self, start: bytes) -> Iterator[object]:
+        """Values of the keys >= start, in ascending key order."""
+        node = self._find_predecessors(start)[0].forward[0]
         while node is not None:
-            yield node.key, node.value
+            yield node.value
             node = node.forward[0]
 
     def first_key(self) -> bytes | None:

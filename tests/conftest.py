@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from repro.core import UniKVConfig
+from repro.engine.sstable import SSTableBuilder, SSTableReader
 from repro.env import SimulatedDisk
 
 
@@ -38,6 +39,19 @@ def disk_digest(disk: SimulatedDisk) -> str:
         digest.update(b"%d:%s:%d:" % (len(name), name.encode(), len(data)))
         digest.update(data)
     return digest.hexdigest()
+
+
+def encode_block(records, prefix_compression: bool = False) -> bytes:
+    """One data block holding ``records``, as :class:`SSTableBuilder`
+    encodes it (the first block of a one-block table)."""
+    disk = SimulatedDisk()
+    builder = SSTableBuilder(disk, "block", tag="test", block_size=1 << 30,
+                             prefix_compression=prefix_compression)
+    for key, kind, value in records:
+        builder.add(key, kind, value)
+    builder.finish()
+    (offset, length), = SSTableReader(disk, "block")._block_locs
+    return disk.read_full("block", tag="test")[offset:offset + length]
 
 
 @pytest.fixture

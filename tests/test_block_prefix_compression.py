@@ -7,20 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import LevelDBStore, UniKV
-from repro.engine.block import Block, BlockBuilder, RESTART_INTERVAL
+from repro.engine.block import Block, RESTART_INTERVAL
 from repro.engine.errors import CorruptionError
 from repro.engine.keys import KIND_VALUE
 from repro.engine.sstable import SSTableBuilder, SSTableReader
 from repro.env import SimulatedDisk
-from tests.conftest import tiny_unikv_config
+from tests.conftest import encode_block, tiny_unikv_config
 from tests.test_lsm_leveldb import small_config
 
 
 def build_block(items, prefix=True):
-    b = BlockBuilder(prefix_compression=prefix)
-    for key, kind, value in items:
-        b.add(key, kind, value)
-    return b.finish()
+    return encode_block(items, prefix_compression=prefix)
 
 
 def test_roundtrip_with_shared_prefixes():

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import BloomFilter, BlockCache
-from repro.engine.block import Block, BlockBuilder
+from repro.engine.block import Block
 from repro.engine.iterators import clip_range, merge_sorted
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
 from repro.obs import MetricsRegistry
+from tests.conftest import encode_block
 
 
 # -- bloom ----------------------------------------------------------------------
@@ -49,10 +50,8 @@ def test_bloom_membership_property(keys):
 # -- block cache ------------------------------------------------------------------
 
 def _block(n):
-    b = BlockBuilder()
-    for i in range(n):
-        b.add(f"{i:04d}".encode(), KIND_VALUE, b"x" * 10)
-    return Block.decode(b.finish())
+    return Block.decode(encode_block([(f"{i:04d}".encode(), KIND_VALUE, b"x" * 10)
+                                      for i in range(n)]))
 
 
 def test_cache_put_get_and_stats():

@@ -37,16 +37,24 @@ def test_items_sorted():
     sl = SkipList()
     for key in (b"m", b"a", b"z", b"c"):
         sl.insert(key, key.decode())
-    assert [k for k, __ in sl.items()] == [b"a", b"c", b"m", b"z"]
+    assert list(sl.values()) == ["a", "c", "m", "z"]
 
 
 def test_items_from_seeks_to_lower_bound():
     sl = SkipList()
     for key in (b"a", b"c", b"e"):
-        sl.insert(key, None)
-    assert [k for k, __ in sl.items_from(b"b")] == [b"c", b"e"]
-    assert [k for k, __ in sl.items_from(b"c")] == [b"c", b"e"]
-    assert [k for k, __ in sl.items_from(b"f")] == []
+        sl.insert(key, key)
+    assert list(sl.values_from(b"b")) == [b"c", b"e"]
+    assert list(sl.values_from(b"c")) == [b"c", b"e"]
+    assert list(sl.values_from(b"f")) == []
+
+
+def test_insert_returns_replaced_value():
+    sl = SkipList()
+    assert sl.insert(b"k", 1) is None
+    assert sl.insert(b"k", 2) == 1
+    assert sl.insert(b"j", 3) is None
+    assert sl.get(b"k") == 2
 
 
 def test_first_key_and_clear():
@@ -59,7 +67,8 @@ def test_first_key_and_clear():
 
 
 def test_empty_iteration():
-    assert list(SkipList().items()) == []
+    assert list(SkipList().values()) == []
+    assert list(SkipList().values_from(b"a")) == []
 
 
 @settings(max_examples=50)
@@ -67,11 +76,11 @@ def test_empty_iteration():
 def test_matches_dict_model(model):
     sl = SkipList()
     for key, value in model.items():
-        sl.insert(key, value)
+        sl.insert(key, (key, value))
     assert len(sl) == len(model)
-    assert [k for k, __ in sl.items()] == sorted(model)
+    assert [k for k, __ in sl.values()] == sorted(model)
     for key, value in model.items():
-        assert sl.get(key) == value
+        assert sl.get(key) == (key, value)
 
 
 @settings(max_examples=25)
@@ -80,6 +89,6 @@ def test_matches_dict_model(model):
 def test_items_from_matches_sorted_slice(keys, start):
     sl = SkipList()
     for key in keys:
-        sl.insert(key, None)
+        sl.insert(key, key)
     expected = sorted(k for k in set(keys) if k >= start)
-    assert [k for k, __ in sl.items_from(start)] == expected
+    assert list(sl.values_from(start)) == expected

@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import BlockCache, SSTableBuilder, SSTableReader
-from repro.engine.block import Block, BlockBuilder
+from repro.engine.block import Block
 from repro.engine.errors import CorruptionError
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
 from repro.engine.sstable import write_tables
 from repro.env import SimulatedDisk
 from repro.env.iostats import RAND, READ
 from repro.obs import MetricsRegistry
+from tests.conftest import encode_block
 
 
 def build_table(disk, name, items, block_size=64, bloom_bits=0):
@@ -25,10 +26,8 @@ def build_table(disk, name, items, block_size=64, bloom_bits=0):
 # -- blocks --------------------------------------------------------------------
 
 def test_block_roundtrip():
-    b = BlockBuilder()
-    b.add(b"a", KIND_VALUE, b"1")
-    b.add(b"b", KIND_TOMBSTONE, b"")
-    block = Block.decode(b.finish())
+    block = Block.decode(encode_block([(b"a", KIND_VALUE, b"1"),
+                                       (b"b", KIND_TOMBSTONE, b"")]))
     assert block.get(b"a") == (KIND_VALUE, b"1")
     assert block.get(b"b") == (KIND_TOMBSTONE, b"")
     assert block.get(b"c") is None
@@ -36,12 +35,28 @@ def test_block_roundtrip():
 
 
 def test_block_rejects_out_of_order():
-    b = BlockBuilder()
-    b.add(b"b", KIND_VALUE, b"")
-    with pytest.raises(ValueError):
-        b.add(b"a", KIND_VALUE, b"")
-    with pytest.raises(ValueError):
-        b.add(b"b", KIND_VALUE, b"")
+    for prefix in (False, True):
+        builder = SSTableBuilder(SimulatedDisk(), "t", tag="flush",
+                                 prefix_compression=prefix)
+        builder.add(b"b", KIND_VALUE, b"")
+        with pytest.raises(ValueError):
+            builder.add(b"a", KIND_VALUE, b"")
+        with pytest.raises(ValueError):
+            builder.add(b"b", KIND_VALUE, b"")
+
+
+@pytest.mark.parametrize("prefix", [False, True])
+def test_unknown_record_kind_rejected(prefix):
+    disk = SimulatedDisk()
+    builder = SSTableBuilder(disk, "t", tag="flush", prefix_compression=prefix)
+    with pytest.raises(ValueError, match="unknown record kind 7"):
+        builder.add(b"a", 7, b"x")
+    # The rejected record left no trace in the table.
+    builder.add(b"a", KIND_VALUE, b"1")
+    builder.add(b"b", KIND_TOMBSTONE, b"")
+    builder.finish()
+    assert list(SSTableReader(disk, "t").entries(tag="test")) == [
+        (b"a", KIND_VALUE, b"1"), (b"b", KIND_TOMBSTONE, b"")]
 
 
 def test_block_decode_rejects_truncated():
@@ -50,10 +65,7 @@ def test_block_decode_rejects_truncated():
 
 
 def test_block_lower_bound():
-    b = BlockBuilder()
-    for key in (b"b", b"d", b"f"):
-        b.add(key, KIND_VALUE, b"")
-    block = Block.decode(b.finish())
+    block = Block.decode(encode_block([(key, KIND_VALUE, b"") for key in (b"b", b"d", b"f")]))
     assert block.lower_bound(b"a") == 0
     assert block.lower_bound(b"d") == 1
     assert block.lower_bound(b"e") == 2
