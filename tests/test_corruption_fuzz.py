@@ -8,6 +8,8 @@ checksum covers at access time) or raise
 one forbidden outcome.
 """
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,3 +174,70 @@ def test_flipped_value_log_read_fails_the_scan_with_corruption():
         list(db.items())
     db.disk.clear_read_faults()
     assert len(db.scan(b"", 1000)) == 400
+
+
+# -- hash-index checkpoints ------------------------------------------------------------
+
+CKPT_KEYS = [b"key-%05d" % i for i in range(300)]
+#: a store whose newest versions sit in checkpointed UnsortedStore tables
+#: while older versions of the same keys sit in the SortedStore: an index
+#: entry lost from a checkpoint would read back the older version
+CKPT_CONFIG = tiny_unikv_config(scan_merge_limit=0, unsorted_limit_bytes=8192)
+
+
+def _checkpointed_disk() -> SimulatedDisk:
+    db = UniKV(config=CKPT_CONFIG)
+    for key in CKPT_KEYS:
+        db.put(key, b"old-" + key)
+    db.flush()
+    for key in CKPT_KEYS:
+        db.put(key, b"mid-" + key)
+    db.flush()
+    db.close()
+    return db.disk
+
+
+def _flip_checkpoint(base: SimulatedDisk, position: int, bit: int) -> SimulatedDisk:
+    disk = base.clone()
+    flip(disk, disk.list("ckpt-")[-1], position, bit)
+    return disk
+
+
+def _checkpoint_key_tags(buf: bytes) -> list[int]:
+    """Offset of every entry's keyTag in an index checkpoint."""
+    offsets = []
+    pos = 12  # num_buckets, num_hashes, num_entries
+    while pos < len(buf) - 4:  # the CRC trailer
+        count = struct.unpack_from("<H", buf, pos + 4)[0]
+        pos += 6
+        offsets += range(pos, pos + 6 * count, 6)
+        pos += 6 * count
+    return offsets
+
+
+def test_flipped_checkpoint_key_tag_never_reads_a_stale_value():
+    base = _checkpointed_disk()
+    ckpt = base.list("ckpt-")[-1]
+    tags = _checkpoint_key_tags(base.read_full(ckpt, tag="fuzz"))
+    victims = tags[::len(tags) // 40][:40]
+    assert len(victims) == 40
+    for offset in victims:
+        # The top bit of the entry's keyTag: without a checksum the entry
+        # no longer matches its key, and a lookup falls through to the
+        # older version in the SortedStore.
+        db = UniKV(disk=_flip_checkpoint(base, offset + 1, 7), config=CKPT_CONFIG)
+        for key in CKPT_KEYS:
+            assert db.get(key) == b"mid-" + key, (offset, key)
+
+
+_CKPT_BASE: list[SimulatedDisk] = []
+
+
+@settings(max_examples=25, deadline=None)
+@given(position=st.integers(0, 100_000), bit=st.integers(0, 7))
+def test_flipped_checkpoint_bit_is_detected_and_rebuilt(position, bit):
+    if not _CKPT_BASE:
+        _CKPT_BASE.append(_checkpointed_disk())
+    db = UniKV(disk=_flip_checkpoint(_CKPT_BASE[0], position, bit), config=CKPT_CONFIG)
+    for key in CKPT_KEYS:
+        assert db.get(key) == b"mid-" + key

@@ -135,8 +135,8 @@ EXPECTED: dict = {
             "index_checkpoints": 44,
             "hash_false_positive_probes": 0,
         },
-        "after_load": (0.0037551283836364485, (0, 0, 0, 3010)),
-        "after_scans": (0.055642828426360376, (258, 218009, 205, 4871)),
+        "after_load": (0.0037555480003356677, (0, 0, 0, 3010)),
+        "after_scans": (0.0556432480430596, (258, 218009, 205, 4871)),
         "io": {
             ("read", "rand", "scan"): (185, 26467),
             ("read", "rand", "scan_value"): (258, 218009),
@@ -147,7 +147,7 @@ EXPECTED: dict = {
             ("read", "seq", "scan_merge"): (885, 127711),
             ("read", "seq", "split"): (597, 81304),
             ("read", "seq", "table_open"): (1254, 124156),
-            ("write", "seq", "checkpoint"): (44, 20076),
+            ("write", "seq", "checkpoint"): (44, 20252),
             ("write", "seq", "flush"): (1354, 144455),
             ("write", "seq", "gc"): (2228, 171150),
             ("write", "seq", "manifest"): (550, 130724),
@@ -156,7 +156,7 @@ EXPECTED: dict = {
             ("write", "seq", "split"): (1222, 109061),
             ("write", "seq", "wal"): (2400, 128629),
         },
-        "files": "b28a6984f122b4480788ec95ed93af2f71957631aef8c698415d221c1ebe28d2",
+        "files": "e6aa5a5fd2349a4ada655d752bd2670c285b5e4fe35a5081418cd1feda970505",
     },
     "no_partial": {
         "core": {
@@ -168,8 +168,8 @@ EXPECTED: dict = {
             "index_checkpoints": 41,
             "hash_false_positive_probes": 0,
         },
-        "after_load": (0.003278734207153336, (0, 0, 0, 2488)),
-        "after_scans": (0.06390206481933523, (379, 314626, 191, 4286)),
+        "after_load": (0.0032791252136230636, (0, 0, 0, 2488)),
+        "after_scans": (0.06390245582580495, (379, 314626, 191, 4286)),
         "io": {
             ("read", "rand", "scan"): (165, 25135),
             ("read", "rand", "scan_value"): (379, 314626),
@@ -179,7 +179,7 @@ EXPECTED: dict = {
             ("read", "seq", "scan_merge"): (901, 129535),
             ("read", "seq", "split"): (766, 105702),
             ("read", "seq", "table_open"): (984, 100576),
-            ("write", "seq", "checkpoint"): (41, 19056),
+            ("write", "seq", "checkpoint"): (41, 19220),
             ("write", "seq", "flush"): (1334, 142365),
             ("write", "seq", "manifest"): (540, 111847),
             ("write", "seq", "merge"): (3175, 218255),
@@ -199,8 +199,8 @@ EXPECTED: dict = {
             "index_checkpoints": 41,
             "hash_false_positive_probes": 0,
         },
-        "after_load": (0.0039032292366028283, (0, 0, 0, 3015)),
-        "after_scans": (0.06452655984878473, (379, 314626, 191, 4813)),
+        "after_load": (0.003903620243072556, (0, 0, 0, 3015)),
+        "after_scans": (0.06452695085525445, (379, 314626, 191, 4813)),
         "io": {
             ("read", "rand", "scan"): (165, 25135),
             ("read", "rand", "scan_value"): (379, 314626),
@@ -211,7 +211,7 @@ EXPECTED: dict = {
             ("read", "seq", "scan_merge"): (901, 129535),
             ("read", "seq", "split"): (766, 105702),
             ("read", "seq", "table_open"): (1262, 124593),
-            ("write", "seq", "checkpoint"): (41, 19056),
+            ("write", "seq", "checkpoint"): (41, 19220),
             ("write", "seq", "flush"): (1334, 142365),
             ("write", "seq", "gc"): (2658, 182659),
             ("write", "seq", "manifest"): (554, 131883),
@@ -232,8 +232,8 @@ EXPECTED: dict = {
             "index_checkpoints": 42,
             "hash_false_positive_probes": 0,
         },
-        "after_load": (0.0036600089073180304, (0, 0, 0, 2750)),
-        "after_scans": (0.0619995258140572, (296, 278272, 211, 4657)),
+        "after_load": (0.0036604094505309232, (0, 0, 0, 2750)),
+        "after_scans": (0.06199992635727009, (296, 278272, 211, 4657)),
         "io": {
             ("read", "rand", "scan"): (230, 32469),
             ("read", "rand", "scan_value"): (296, 278272),
@@ -244,7 +244,7 @@ EXPECTED: dict = {
             ("read", "seq", "scan_merge"): (861, 120513),
             ("read", "seq", "split"): (588, 80166),
             ("read", "seq", "table_open"): (1144, 113366),
-            ("write", "seq", "checkpoint"): (42, 19224),
+            ("write", "seq", "checkpoint"): (42, 19392),
             ("write", "seq", "flush"): (1349, 140300),
             ("write", "seq", "gc"): (2666, 181364),
             ("write", "seq", "manifest"): (548, 123133),
@@ -253,7 +253,7 @@ EXPECTED: dict = {
             ("write", "seq", "split"): (1391, 115392),
             ("write", "seq", "wal"): (2400, 128629),
         },
-        "files": "7b3e14dd1a410ada9525bbbbabdc9fd0b7d66735c26ffe8754241a76ff58754b",
+        "files": "f095316c313bb15e1943edd85769f12297a34754743f1b7f0b857aafa6dbcc88",
     },
 }
 

@@ -66,7 +66,7 @@ EXPECTED_STATS = {
                 "split": 6
             },
             "job_seconds": {
-                "flush": 0.0001799702644348152,
+                "flush": 0.00018011331558227605,
                 "gc": 0.0003052253723144629,
                 "merge": 0.00031090831756592645,
                 "scan_merge": 0.0002642292976379403,
@@ -83,7 +83,7 @@ EXPECTED_STATS = {
                 "stop:split": 6
             },
             "stall_events": 107,
-            "stall_seconds": 0.0012143006324768337
+            "stall_seconds": 0.0012143673896789823
         }
     },
     "server": {
@@ -119,7 +119,7 @@ EXPECTED_STATS = {
                     "split": 4
                 },
                 "job_seconds": {
-                    "flush": 0.00011647939682006916,
+                    "flush": 0.00011657476425170978,
                     "gc": 0.00022891044616700496,
                     "merge": 0.00019886875152588836,
                     "scan_merge": 0.00016249656677246204,
@@ -135,7 +135,7 @@ EXPECTED_STATS = {
                     "stop:split": 4
                 },
                 "stall_events": 69,
-                "stall_seconds": 0.0008318295478821126
+                "stall_seconds": 0.000831867694854769
             }
         },
         {
@@ -160,7 +160,7 @@ EXPECTED_STATS = {
                     "split": 2
                 },
                 "job_seconds": {
-                    "flush": 6.349086761474603e-05,
+                    "flush": 6.353855133056627e-05,
                     "gc": 7.631492614745795e-05,
                     "merge": 0.00011203956604003809,
                     "scan_merge": 0.00010173273086547824,
@@ -177,7 +177,7 @@ EXPECTED_STATS = {
                     "stop:split": 2
                 },
                 "stall_events": 38,
-                "stall_seconds": 0.0003824710845947212
+                "stall_seconds": 0.00038249969482421315
             }
         }
     ]
@@ -197,7 +197,7 @@ EXPECTED_DESCRIBE = [
                 "split": 4
             },
             "job_seconds": {
-                "flush": 0.00011647939682006916,
+                "flush": 0.00011657476425170978,
                 "gc": 0.00022891044616700496,
                 "merge": 0.00019886875152588836,
                 "scan_merge": 0.00016249656677246204,
@@ -214,7 +214,7 @@ EXPECTED_DESCRIBE = [
                 "stop:split": 4
             },
             "stall_events": 69,
-            "stall_seconds": 0.0008318295478821126
+            "stall_seconds": 0.000831867694854769
         },
         "stats": {
             "flushes": 44,
@@ -238,7 +238,7 @@ EXPECTED_DESCRIBE = [
                 "split": 2
             },
             "job_seconds": {
-                "flush": 6.349086761474603e-05,
+                "flush": 6.353855133056627e-05,
                 "gc": 7.631492614745795e-05,
                 "merge": 0.00011203956604003809,
                 "scan_merge": 0.00010173273086547824,
@@ -256,7 +256,7 @@ EXPECTED_DESCRIBE = [
                 "stop:split": 2
             },
             "stall_events": 38,
-            "stall_seconds": 0.0003824710845947212
+            "stall_seconds": 0.00038249969482421315
         },
         "stats": {
             "flushes": 24,
