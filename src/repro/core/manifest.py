@@ -1,10 +1,13 @@
 """Partition/metadata manifest.
 
-An append-only, CRC-protected log of JSON records describing every atomic
-metadata transition: partition creation, flushes, merges, scan-merges, GC
-commits, splits, index checkpoints and WAL rotations.  Exactly the paper's
-scheme — "metadata about partitions is persisted in an on-disk manifest,
-protected like a WAL".
+An append-only log of JSON records describing every atomic metadata
+transition: partition creation, flushes, merges, scan-merges, GC commits,
+splits, index checkpoints and WAL rotations.  Exactly the paper's scheme —
+"metadata about partitions is persisted in an on-disk manifest, protected
+like a WAL": each record is one payload in the WAL's CRC-checked frame,
+written by :class:`~repro.engine.wal.WalWriter` and read back by
+:func:`~repro.engine.wal.read_records`.  UniKV's ``MANIFEST`` and the
+LevelDB family's ``LSM-MANIFEST`` are both this class.
 
 A state change becomes durable when its single commit record is appended;
 recovery replays the manifest to rebuild the store and deletes any data
@@ -15,15 +18,12 @@ commit leaves only harmless orphans).
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 from typing import Iterator
 
 from repro.engine.errors import CorruptionError
 from repro.engine.sstable import TableMeta
+from repro.engine.wal import WalWriter, read_records
 from repro.env.storage import SimulatedDisk
-
-_HDR = struct.Struct("<II")  # crc32, payload length
 
 MANIFEST_NAME = "MANIFEST"
 
@@ -57,18 +57,13 @@ class Manifest:
         self.name = name
         if create and not disk.exists(name):
             disk.create(name).close()
-        self._writer = disk.append_writer(name)
+        self._writer = WalWriter(disk, name, tag="manifest", append=True)
         #: byte offset just past the last valid record seen by replay()
         self.valid_end = 0
 
     def append(self, record: dict) -> None:
         """Durably append one metadata record (this is the commit point)."""
-        payload = json.dumps(record, separators=(",", ":")).encode()
-        crc = zlib.crc32(payload)
-        self._writer.append(_HDR.pack(crc, len(payload)) + payload, tag="manifest")
-        # Commit point: the record must be on media before the operation's
-        # outputs become visible (no-op on disks without sync tracking).
-        self._writer.sync()
+        self._writer.append_record(json.dumps(record, separators=(",", ":")).encode())
 
     def replay(self) -> Iterator[dict]:
         """All committed records, oldest first; stops at a torn tail.
@@ -79,23 +74,12 @@ class Manifest:
         replay stops at the tear).
         """
         buf = self._disk.read_full(self.name, tag="manifest_replay")
-        pos = 0
-        end = len(buf)
-        self.valid_end = 0
-        while pos + _HDR.size <= end:
-            crc, length = _HDR.unpack_from(buf, pos)
-            start = pos + _HDR.size
-            if start + length > end:
-                return  # torn tail: the record never committed
-            payload = buf[start:start + length]
-            if zlib.crc32(payload) != crc:
-                return
+        payloads, self.valid_end = read_records(buf)
+        for payload in payloads:
             try:
                 yield json.loads(payload.decode())
             except ValueError as exc:  # pragma: no cover - crc makes this unlikely
                 raise CorruptionError(f"manifest record undecodable: {exc}") from exc
-            pos = start + length
-            self.valid_end = pos
 
     def repair(self) -> bool:
         """Drop a torn tail so appends extend the *valid* log; True if cut.
@@ -113,5 +97,5 @@ class Manifest:
         if self.valid_end:
             writer.append(buf[:self.valid_end], tag="manifest")
         writer.close()
-        self._writer = self._disk.append_writer(self.name)
+        self._writer = WalWriter(self._disk, self.name, tag="manifest", append=True)
         return True

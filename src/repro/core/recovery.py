@@ -13,8 +13,10 @@ Recovery replays three sources, exactly the paper's scheme:
    set, and the tables flushed since are re-read to fill in the gap; if the
    table set changed (a merge ran after the checkpoint), the index is
    rebuilt from the current tables.
-3. **WAL** — buffered writes are replayed into a fresh memtable; a torn
-   final record (mid-append crash) is discarded.
+3. **WAL** — buffered writes are replayed into a fresh memtable by
+   :func:`~repro.engine.wal.recover_wal`; a torn final record (mid-append
+   crash) is discarded and the intact records are re-logged into a fresh
+   WAL.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import struct
 
 from repro.engine.errors import CorruptionError
 from repro.engine.sstable import TableMeta
-from repro.engine.wal import WalReader, WalWriter
+from repro.engine.wal import recover_wal
 from repro.core.context import StoreContext
 from repro.core.hash_index import HashIndex
 from repro.core.manifest import Manifest, meta_from_json
@@ -168,39 +170,14 @@ def recover_store(store, disk: SimulatedDisk) -> None:
         for partition in partitions:
             name = wal_names.get(partition.id)
             if name is not None and disk.exists(name):
-                reader = WalReader(disk, name)
-                records = list(reader.replay())
+                records, partition.wal = recover_wal(
+                    disk, name, store._new_wal,
+                    lambda new_name, pid=partition.id: manifest.append(
+                        {"type": "wal", "partition": pid, "name": new_name}))
                 for key, kind, value in records:
                     partition.mem._insert(key, kind, value)
-                if reader.tail_corrupt:
-                    _relog_wal(store, partition, name, records)
-                else:
-                    partition.wal = WalWriter(disk, name, tag="wal", append=True)
             else:
                 store._rotate_wal(partition)
-
-
-def _relog_wal(store, partition: Partition, old_name: str,
-               records: list[tuple[bytes, int, bytes]]) -> None:
-    """Replace a WAL with a torn tail by a fresh log of its intact prefix.
-
-    Appending past the tear would strand the new records (replay stops at
-    the damage), and truncating in place isn't an append-only operation —
-    so recovery re-logs the surviving records into a new file, commits the
-    switch, and only then deletes the damaged log.  A crash before the
-    commit leaves the old WAL authoritative (the new file is an orphan); a
-    crash after it leaves the new WAL authoritative (the old one is).
-    """
-    ctx = store.ctx
-    new_name = f"wal-{store._next_wal:06d}"
-    store._next_wal += 1
-    new_wal = WalWriter(ctx.disk, new_name, tag="wal")
-    for key, kind, value in records:
-        new_wal.append(key, kind, value)
-    ctx.manifest.append({"type": "wal", "partition": partition.id,
-                         "name": new_name})
-    ctx.disk.delete(old_name)
-    partition.wal = new_wal
 
 
 def _rebuild_hash_index(ctx: StoreContext, partition: Partition,

@@ -330,13 +330,16 @@ class UniKV(KVStore):
         self._maybe_checkpoint_index(partition)
         self._run_partition_maintenance(partition)
 
-    def _rotate_wal(self, partition: Partition) -> None:
-        old = partition.wal
+    def _new_wal(self) -> WalWriter:
         name = f"wal-{self._next_wal:06d}"
         self._next_wal += 1
-        partition.wal = WalWriter(self.ctx.disk, name, tag="wal")
+        return WalWriter(self.ctx.disk, name, tag="wal")
+
+    def _rotate_wal(self, partition: Partition) -> None:
+        old = partition.wal
+        partition.wal = self._new_wal()
         self.ctx.manifest.append({"type": "wal", "partition": partition.id,
-                                  "name": name})
+                                  "name": partition.wal.name})
         if old is not None:
             old.close()
             if self.ctx.disk.exists(old.name):

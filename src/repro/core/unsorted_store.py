@@ -135,6 +135,3 @@ class UnsortedStore:
 
     def total_bytes(self) -> int:
         return sum(m.file_size for m in self.tables.values())
-
-    def has_tombstones_possible(self) -> bool:
-        return bool(self.tables)

@@ -32,7 +32,6 @@ degenerates to :meth:`clone`.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from repro.env.iostats import IOStats, RAND, READ, SEQ, WRITE
 
@@ -344,9 +343,3 @@ class RandomAccessFile:
     def size(self) -> int:
         return self._disk.size(self.name)
 
-
-def batch_delete(disk: SimulatedDisk, names: Iterable[str]) -> None:
-    """Delete several files, ignoring ones that are already gone."""
-    for name in names:
-        if disk.exists(name):
-            disk.delete(name)

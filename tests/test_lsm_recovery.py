@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.core.manifest import Manifest
+from repro.env.storage import DiskCrashed, SimulatedDisk
 from repro.lsm import HyperLevelDBStore, LevelDBStore, RocksDBStore
 from tests.test_lsm_leveldb import small_config
 
@@ -53,6 +55,68 @@ def test_torn_wal_tail_drops_only_last_record():
     for i in range(19):
         assert db2.get(f"k{i:03d}".encode()) == b"v"
     assert db2.get(b"k019") is None  # the torn record
+
+
+@pytest.mark.parametrize("arm_at", [5, 9, 14])
+def test_writes_after_a_torn_wal_tail_survive_the_next_reopen(store_cls, arm_at):
+    """Power fails ``arm_at`` bytes into one put's WAL append.  Records
+    appended after the torn bytes would be unreachable (replay stops at
+    the tear), so recovery must re-log the intact records first."""
+    config = small_config(memtable_size=1 << 20)  # everything stays in the WAL
+    disk = SimulatedDisk(sync_tracking=True)
+    db = store_cls(disk=disk, config=config)
+    for i in range(20):
+        db.put(b"k%03d" % i, b"v0")
+    disk.arm_crash(arm_at)
+    with pytest.raises(DiskCrashed, match="wal-"):
+        db.put(b"k999", b"never acked")
+    clone = disk.clone()  # keeps the partial append: a torn final record
+    db = store_cls(disk=clone, config=config)
+    for i in range(20):
+        db.put(b"k%03d" % i, b"v1")
+    db = store_cls(disk=clone.clone(), config=config)
+    for i in range(20):
+        assert db.get(b"k%03d" % i) == b"v1"
+    assert db.get(b"k999") is None
+
+
+def _crash_in_first_manifest_commit(store_cls):
+    """Arm crashes every 37 bytes across the first flush until one tears
+    ``LSM-MANIFEST``; return the torn disk and the acked model."""
+    for arm_at in range(1, 4000, 37):
+        disk = SimulatedDisk(sync_tracking=True)
+        db = store_cls(disk=disk, config=small_config())
+        acked = {}
+        disk.arm_crash(arm_at)
+        try:
+            for i in range(100):
+                key = b"k%04d" % i
+                db.put(key, b"v%d" % i * 5)
+                acked[key] = b"v%d" % i * 5
+        except DiskCrashed as exc:
+            if "LSM-MANIFEST" not in str(exc):
+                continue
+        clone = disk.clone()  # keeps the partial append: a torn record
+        probe = Manifest(clone.clone(), "LSM-MANIFEST", create=False)
+        list(probe.replay())
+        if probe.valid_end < clone.size("LSM-MANIFEST"):
+            return clone, acked
+    raise AssertionError("no armed crash tore the manifest")
+
+
+def test_writes_after_a_torn_manifest_tail_survive_the_next_reopen(store_cls):
+    """Manifest records appended after a torn tail would be unreachable,
+    and the next reopen would delete their tables as orphans: recovery
+    must cut the tail before it appends."""
+    disk, acked = _crash_in_first_manifest_commit(store_cls)
+    db = store_cls(disk=disk, config=small_config())
+    for i in range(300):
+        key = b"n%04d" % i
+        db.put(key, b"w%d" % i * 5)
+        acked[key] = b"w%d" % i * 5
+    db = store_cls(disk=disk.clone(), config=small_config())
+    for key, value in acked.items():
+        assert db.get(key) == value, f"lost acked {key!r}"
 
 
 def test_orphan_tables_cleaned_on_reopen():
