@@ -1,10 +1,11 @@
 """The exact device I/O and files of the baseline LSMs' compactions, pinned.
 
 A seeded script of puts, overwrites and deletes on small LevelDB,
-PebblesDB and WiscKey stores runs flushes and compactions: LevelDB's
-leveled ``_run_compaction``, PebblesDB's guard fragments and its
-bottom-level ``_consolidate_guard``, and WiscKey's index compactions and
-value-log GC.  Every ``disk.stats.records`` entry (ops, bytes) and a
+RocksDB, HyperLevelDB, PebblesDB and WiscKey stores runs flushes and
+compactions: the LevelDB family's leveled ``_run_compaction`` (round-robin
+and min-overlap picks, RocksDB's doubled buffers), PebblesDB's guard
+fragments and its bottom-level ``_consolidate_guard``, and WiscKey's index
+compactions and value-log GC.  Every ``disk.stats.records`` entry (ops, bytes) and a
 sha256 over the name and bytes of every file left on disk must equal the
 pinned values, so a change to how compaction output is cut into tables,
 or how value pointers are written, must leave table names, sizes and
@@ -15,7 +16,7 @@ import random
 
 import pytest
 
-from repro.lsm import LevelDBStore, PebblesDBStore
+from repro.lsm import HyperLevelDBStore, LevelDBStore, PebblesDBStore, RocksDBStore
 from repro.lsm.wisckey import WiscKeyConfig, WiscKeyStore
 from tests.conftest import disk_digest
 from tests.test_lsm_leveldb import small_config
@@ -26,7 +27,9 @@ def _wisckey(config):
         **vars(config), vlog_segment_size=4096, vlog_size_limit=64 * 1024))
 
 
-STORES = {"leveldb": LevelDBStore, "pebblesdb": PebblesDBStore, "wisckey": _wisckey}
+STORES = {"leveldb": LevelDBStore, "rocksdb": RocksDBStore,
+          "hyperleveldb": HyperLevelDBStore, "pebblesdb": PebblesDBStore,
+          "wisckey": _wisckey}
 
 
 def run_case(name: str) -> dict:
@@ -69,6 +72,36 @@ EXPECTED: dict = {
             ("write", "seq", "wal"): (3000, 148160),
         },
         "files": "a2313bad7cfe65875d276162ad01f3e7f1bed289be133f48b6a7d03d651a08b5",
+    },
+    "rocksdb": {
+        "io": {
+            ("read", "rand", "lookup"): (85, 12690),
+            ("read", "rand", "scan"): (1, 166),
+            ("read", "rand", "table_open"): (164, 21958),
+            ("read", "seq", "compaction"): (5245, 760799),
+            ("read", "seq", "scan"): (294, 42876),
+            ("read", "seq", "table_open"): (1590, 211985),
+            ("write", "seq", "compaction"): (7518, 862432),
+            ("write", "seq", "flush"): (1382, 165347),
+            ("write", "seq", "manifest"): (488, 136906),
+            ("write", "seq", "wal"): (3000, 148160),
+        },
+        "files": "5307464b60740b81ac8bedc30687fc21887e25ae336bf6afef4cbed59c454322",
+    },
+    "hyperleveldb": {
+        "io": {
+            ("read", "rand", "lookup"): (91, 12887),
+            ("read", "rand", "scan"): (6, 835),
+            ("read", "rand", "table_open"): (378, 32994),
+            ("read", "seq", "compaction"): (5165, 693909),
+            ("read", "seq", "scan"): (400, 53184),
+            ("read", "seq", "table_open"): (2872, 260566),
+            ("write", "seq", "compaction"): (9955, 853652),
+            ("write", "seq", "flush"): (1860, 176341),
+            ("write", "seq", "manifest"): (977, 257115),
+            ("write", "seq", "wal"): (3000, 148160),
+        },
+        "files": "87e418e475009de5e34f5eaf458af7ba7117ed751e76d86d446ea1dcfd03530f",
     },
     "pebblesdb": {
         "io": {
