@@ -63,8 +63,6 @@ class UniKVConfig:
     #: checkpoint a partition's hash index every N flushes
     #: (the paper checkpoints every UnsortedLimit/2 flushed tables)
     index_checkpoint_interval: int = 2
-    #: disable the WAL (benchmark option; recovery tests keep it on)
-    wal_enabled: bool = True
 
     # -- maintenance scheduler (repro.runtime) --------------------------------------------
     #: background lanes for maintenance device time (flush/merge/GC/
@@ -87,10 +85,6 @@ class UniKVConfig:
     metrics_enabled: bool = True
 
     # -- misc ---------------------------------------------------------------------------
-    #: LevelDB-style shared-prefix key encoding inside data blocks
-    #: (shrinks the key-dense SortedStore tables; off by default so the
-    #: calibrated benchmark shapes stay byte-identical)
-    block_prefix_compression: bool = False
     block_cache_bytes: int = 32 * _KB
     #: open-table (metadata) cache entries.  UniKV keeps table metadata
     #: memory-resident (the paper: index-block metadata "is usually cached

@@ -74,8 +74,7 @@ class StoreContext:
         store's block layout; its writes are tagged ``tag``."""
         return SSTableBuilder(
             self.disk, self.alloc_table_name(), tag=tag,
-            block_size=self.config.block_size,
-            prefix_compression=self.config.block_prefix_compression)
+            block_size=self.config.block_size)
 
     def alloc_log_number(self) -> int:
         number = self.next_log

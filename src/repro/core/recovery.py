@@ -166,18 +166,17 @@ def recover_store(store, disk: SimulatedDisk) -> None:
     store._next_wal = max_wal + 1
 
     # -- per-partition WAL replay ---------------------------------------------------------
-    if store.config.wal_enabled:
-        for partition in partitions:
-            name = wal_names.get(partition.id)
-            if name is not None and disk.exists(name):
-                records, partition.wal = recover_wal(
-                    disk, name, store._new_wal,
-                    lambda new_name, pid=partition.id: manifest.append(
-                        {"type": "wal", "partition": pid, "name": new_name}))
-                for key, kind, value in records:
-                    partition.mem._insert(key, kind, value)
-            else:
-                store._rotate_wal(partition)
+    for partition in partitions:
+        name = wal_names.get(partition.id)
+        if name is not None and disk.exists(name):
+            records, partition.wal = recover_wal(
+                disk, name, store._new_wal,
+                lambda new_name, pid=partition.id: manifest.append(
+                    {"type": "wal", "partition": pid, "name": new_name}))
+            for key, kind, value in records:
+                partition.mem._insert(key, kind, value)
+        else:
+            store._rotate_wal(partition)
 
 
 def _rebuild_hash_index(ctx: StoreContext, partition: Partition,

@@ -80,8 +80,7 @@ class UniKV(KVStore):
         self.ctx.manifest.append({"type": "init", "partition": first.id, "lower": ""})
         self._next_wal = 0
         self._next_ckpt = 0
-        if self.config.wal_enabled:
-            self._rotate_wal(first)
+        self._rotate_wal(first)
         #: per-partition current index checkpoint: pid -> (file, covered ids)
         self._checkpoints: dict[int, tuple[str, list[int]]] = {}
 
@@ -116,8 +115,7 @@ class UniKV(KVStore):
         timed = self.config.metrics_enabled
         start = metrics.clock() if timed else 0.0
         partition = self._partition_for(key)
-        if partition.wal is not None:
-            partition.wal.append(key, KIND_VALUE, value)
+        partition.wal.append(key, KIND_VALUE, value)
         partition.mem.put(key, value)
         self._maybe_flush(partition)
         if timed:
@@ -130,8 +128,7 @@ class UniKV(KVStore):
         timed = self.config.metrics_enabled
         start = metrics.clock() if timed else 0.0
         partition = self._partition_for(key)
-        if partition.wal is not None:
-            partition.wal.append(key, KIND_TOMBSTONE, b"")
+        partition.wal.append(key, KIND_TOMBSTONE, b"")
         partition.mem.delete(key)
         self._maybe_flush(partition)
         if timed:
@@ -163,8 +160,7 @@ class UniKV(KVStore):
         touched = []
         for pi, entries in sorted(groups.items()):
             partition = self.partitions[pi]
-            if partition.wal is not None:
-                partition.wal.append_batch(entries)
+            partition.wal.append_batch(entries)
             for key, kind, value in entries:
                 if kind == KIND_VALUE:
                     partition.mem.put(key, value)
@@ -257,9 +253,7 @@ class UniKV(KVStore):
             # succeed so deployments can tear down dead shards.
             self.flush()
             for partition in self.partitions:
-                if partition.wal is not None:
-                    partition.wal.close()
-                    partition.wal = None
+                partition.wal.close()
         self.ctx.close()
         self._closed = True
 
@@ -325,8 +319,7 @@ class UniKV(KVStore):
         })
         partition.unsorted.add_flushed_table(table_id, meta, keys)
         partition.mem = MemTable(seed=self.config.seed)
-        if partition.wal is not None:
-            self._rotate_wal(partition)
+        self._rotate_wal(partition)
         self._maybe_checkpoint_index(partition)
         self._run_partition_maintenance(partition)
 
@@ -398,13 +391,11 @@ class UniKV(KVStore):
                 self._drop_checkpoint(partition.id)
                 # Retire the old partition's WAL (its memtable was folded
                 # into the split output) and start fresh WALs for the halves.
-                if partition.wal is not None:
-                    partition.wal.close()
-                    if self.ctx.disk.exists(partition.wal.name):
-                        self.ctx.disk.delete(partition.wal.name)
-                if self.config.wal_enabled:
-                    for part in parts:
-                        self._rotate_wal(part)
+                partition.wal.close()
+                if self.ctx.disk.exists(partition.wal.name):
+                    self.ctx.disk.delete(partition.wal.name)
+                for part in parts:
+                    self._rotate_wal(part)
                 changed = True
                 break
 

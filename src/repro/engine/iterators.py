@@ -68,14 +68,3 @@ def merge_sorted(sources: Iterable[Iterator[Record]],
         record = nxt
     if not drop_tombstones or record[1] != KIND_TOMBSTONE:
         yield record
-
-
-def clip_range(records: Iterator[Record], lo: bytes | None,
-               hi: bytes | None) -> Iterator[Record]:
-    """Restrict a sorted record stream to lo <= key < hi."""
-    for key, kind, value in records:
-        if lo is not None and key < lo:
-            continue
-        if hi is not None and key >= hi:
-            return
-        yield key, kind, value

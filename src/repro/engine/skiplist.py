@@ -102,12 +102,3 @@ class SkipList:
         while node is not None:
             yield node.value
             node = node.forward[0]
-
-    def first_key(self) -> bytes | None:
-        node = self._head.forward[0]
-        return None if node is None else node.key
-
-    def clear(self) -> None:
-        self._head = _Node(None, None, _MAX_LEVEL)
-        self._level = 1
-        self._len = 0

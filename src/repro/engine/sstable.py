@@ -21,8 +21,7 @@ from bisect import bisect_left
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
-from repro.engine.block import (DEFAULT_BLOCK_SIZE, FORMAT_PLAIN, FORMAT_PREFIX, PREFIX_HEADER,
-                                RESTART_INTERVAL, Block, shared_prefix_len)
+from repro.engine.block import DEFAULT_BLOCK_SIZE, FORMAT_PLAIN, Block
 from repro.engine.block_cache import BlockCache
 from repro.engine.bloom import BloomFilter
 from repro.engine.errors import CorruptionError
@@ -36,7 +35,8 @@ _IDX_ENTRY = struct.Struct("<IQI")   # key length, block offset, block length
 _PROPS = struct.Struct("<III")       # smallest len, largest len, entry count
 _BLOCK_TRAILER = 8                   # record count and CRC32 of a data block
 _pack_entry = ENTRY_HEADER.pack
-_pack_prefix_entry = PREFIX_HEADER.pack
+#: the format byte every data block starts with
+_FORMAT = bytes([FORMAT_PLAIN])
 
 FOOTER_SIZE = _FOOTER.size
 
@@ -44,22 +44,19 @@ FOOTER_SIZE = _FOOTER.size
 class SSTableBuilder:
     """Writes records (strictly increasing keys) into a new table file.
 
-    Each record is encoded straight into the open data block (plain or
-    prefix-compressed, see :mod:`repro.engine.block`); a block is written
-    once its encoded size reaches ``block_size``.
+    Each record is encoded straight into the open data block (see
+    :mod:`repro.engine.block`); a block is written once its encoded size
+    reaches ``block_size``.
     """
 
     def __init__(self, disk: SimulatedDisk, name: str, tag: str,
                  block_size: int = DEFAULT_BLOCK_SIZE,
-                 bloom_bits_per_key: int = 0,
-                 prefix_compression: bool = False) -> None:
+                 bloom_bits_per_key: int = 0) -> None:
         self._disk = disk
         self._writer = disk.create(name)
         self._tag = tag
-        self._prefix_compression = prefix_compression
-        self._format = bytes([FORMAT_PREFIX if prefix_compression else FORMAT_PLAIN])
         #: the open block: format byte and records so far
-        self._block = bytearray(self._format)
+        self._block = bytearray(_FORMAT)
         self._block_count = 0
         #: a block is cut once it and its count trailer and CRC reach block_size
         self._cut_at = block_size - _BLOCK_TRAILER
@@ -83,17 +80,8 @@ class SSTableBuilder:
         if kind not in KINDS:
             raise ValueError(f"unknown record kind {kind}")
         block = self._block
-        if self._prefix_compression:
-            # A full key is restated at each restart point.
-            if self._block_count % RESTART_INTERVAL:
-                shared = shared_prefix_len(last, key)
-            else:
-                shared = 0
-            block += _pack_prefix_entry(shared, len(key) - shared, len(value), kind)
-            block += key[shared:]
-        else:
-            block += _pack_entry(len(key), len(value), kind)
-            block += key
+        block += _pack_entry(len(key), len(value), kind)
+        block += key
         block += value
         self.largest = key
         self._block_count += 1
@@ -112,7 +100,7 @@ class SSTableBuilder:
         self._index.append((self.largest, self._written, len(block)))
         self._written += len(block)
         self._flushed_entries += self._block_count
-        self._block = bytearray(self._format)
+        self._block = bytearray(_FORMAT)
         self._block_count = 0
 
     @property

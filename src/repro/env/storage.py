@@ -116,14 +116,6 @@ class SimulatedDisk:
     def list(self, prefix: str = "") -> list[str]:
         return sorted(n for n in self._files if n.startswith(prefix))
 
-    def rename(self, old: str, new: str) -> None:
-        self._check_alive()
-        if old not in self._files:
-            raise FileNotFound(old)
-        self._files[new] = self._files.pop(old)
-        if self.sync_tracking:
-            self._synced[new] = self._synced.pop(old, 0)
-
     def total_bytes(self, prefix: str = "") -> int:
         """Space currently occupied by files matching ``prefix``."""
         return sum(len(b) for n, b in self._files.items() if n.startswith(prefix))

@@ -2,7 +2,9 @@
 
 These are the comparison systems of the paper's evaluation, each implemented
 from scratch on the shared substrate so differences between them are policy
-differences, not implementation accidents:
+differences, not implementation accidents.  The LSM engines share one
+memtable + WAL front end, :class:`LSMStore`, and differ only in where
+tables go and how they are compacted:
 
 * :class:`LevelDBStore`       — classic leveled-compaction LSM with Bloom filters.
 * :class:`RocksDBStore`       — leveled LSM tuned like RocksDB (bigger write
@@ -17,7 +19,7 @@ differences, not implementation accidents:
   experiment's pure-hash-index baseline).
 """
 
-from repro.lsm.base import KVStore, LSMConfig
+from repro.lsm.base import KVStore, LSMConfig, LSMStore
 from repro.lsm.leveldb import LevelDBStore
 from repro.lsm.pebblesdb import PebblesDBStore
 from repro.lsm.skimpystash import SkimpyStashStore
@@ -27,6 +29,7 @@ from repro.lsm.wisckey import WiscKeyStore
 __all__ = [
     "KVStore",
     "LSMConfig",
+    "LSMStore",
     "LevelDBStore",
     "RocksDBStore",
     "HyperLevelDBStore",

@@ -18,18 +18,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator
 
-from repro.engine.block_cache import BlockCache
 from repro.engine.iterators import merge_sorted
-from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
-from repro.engine.memtable import MemTable
-from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta, write_tables
-from repro.engine.table_cache import TableCache
-from repro.engine.wal import WalWriter
+from repro.engine.sstable import SSTableBuilder, TableMeta, write_tables
 from repro.env.storage import SimulatedDisk
-from repro.lsm.base import KVStore, LSMConfig
-from repro.runtime.scheduler import Job, MaintenanceScheduler
-
-Record = tuple[bytes, int, bytes]
+from repro.lsm.base import LSMConfig, LSMStore, Record, refuse_reopen
+from repro.runtime.scheduler import Job
 
 
 class _Guard:
@@ -45,8 +38,13 @@ class _Guard:
         return sum(f.file_size for f in self.files)
 
 
-class PebblesDBStore(KVStore):
-    """Fragmented LSM with guard-based append-only compaction."""
+class PebblesDBStore(LSMStore):
+    """Fragmented LSM with guard-based append-only compaction.
+
+    It keeps no manifest, so it cannot recover: opening it over a disk that
+    already holds its tables or WAL raises
+    :class:`~repro.engine.errors.InvalidArgument`.
+    """
 
     name = "PebblesDB"
     #: a guard compacts downward once it holds more files than this
@@ -54,129 +52,41 @@ class PebblesDBStore(KVStore):
 
     def __init__(self, disk: SimulatedDisk | None = None,
                  config: LSMConfig | None = None, prefix: str = "") -> None:
-        self._disk = disk if disk is not None else SimulatedDisk()
-        self.config = config if config is not None else LSMConfig()
-        self._prefix = prefix
-        self.scheduler = MaintenanceScheduler(
-            self._disk,
-            background_threads=self.config.background_threads,
-            slowdown_trigger=self.config.slowdown_trigger,
-            stop_trigger=self.config.stop_trigger,
-            slowdown_penalty_us=self.config.slowdown_penalty_us)
-        #: job, stall and cache counts (repro.obs), shared with the scheduler
-        self.metrics = self.scheduler.metrics
-        self._cache = BlockCache(self.config.block_cache_bytes, metrics=self.metrics)
-        self._tables = TableCache(self._disk, self.config.table_cache_size,
-                                  block_cache=self._cache, metrics=self.metrics)
-        self._mem = MemTable(seed=self.config.seed)
+        super().__init__(disk, config, prefix)
+        refuse_reopen(self._disk, self.name, (f"{prefix}sst-", f"{prefix}wal-"))
         self._l0: list[TableMeta] = []  # newest first
         # levels[i] for i >= 1: guards sorted by key; first guard key is b"".
         self._levels: list[list[_Guard]] = [
             [_Guard(b"")] for __ in range(self.config.max_levels - 1)
         ]
-        self._next_file = 0
-        self._next_wal = 0
-        self._wal = self._new_wal()
+        self._start_wal()
 
-    # -- public API ----------------------------------------------------------------
+    # -- LSMStore hooks -------------------------------------------------------------
 
-    @property
-    def disk(self) -> SimulatedDisk:
-        return self._disk
+    def _install_flushed(self, meta: TableMeta) -> None:
+        self._l0.insert(0, meta)
 
-    def put(self, key: bytes, value: bytes) -> None:
-        self._wal.append(key, KIND_VALUE, value)
-        self._mem.put(key, value)
-        self._maybe_flush()
-
-    def delete(self, key: bytes) -> None:
-        self._wal.append(key, KIND_TOMBSTONE, b"")
-        self._mem.delete(key)
-        self._maybe_flush()
-
-    def get(self, key: bytes) -> bytes | None:
-        hit = self._mem.get(key)
-        if hit is not None:
-            kind, value = hit
-            return None if kind == KIND_TOMBSTONE else value
+    def _tables_for_key(self, key: bytes) -> Iterator[TableMeta]:
         for meta in self._l0:
             if meta.smallest <= key <= meta.largest:
-                found = self._reader(meta.name).get(key, tag="lookup")
-                if found is not None:
-                    kind, value = found
-                    return None if kind == KIND_TOMBSTONE else value
+                yield meta
         for guards in self._levels:
-            guard = guards[self._guard_index(guards, key)]
-            for meta in guard.files:
+            for meta in guards[self._guard_index(guards, key)].files:
                 if meta.smallest <= key <= meta.largest:
-                    found = self._reader(meta.name).get(key, tag="lookup")
-                    if found is not None:
-                        kind, value = found
-                        return None if kind == KIND_TOMBSTONE else value
-        return None
+                    yield meta
 
-    def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
-        sources: list[Iterator[Record]] = [self._mem.entries_from(start)]
-        for meta in self._l0:
-            if meta.largest >= start:
-                sources.append(self._reader(meta.name).entries_from(start, tag="scan"))
-        for guards in self._levels:
-            sources.append(self._level_scan(guards, start))
-        out: list[tuple[bytes, bytes]] = []
-        if count <= 0:
-            return out
-        for key, kind, value in merge_sorted(sources):
-            if kind == KIND_TOMBSTONE:
-                continue
-            out.append((key, value))
-            if len(out) >= count:
-                break
-        return out
+    def _table_sources(self, start: bytes) -> list[Iterator[Record]]:
+        sources: list[Iterator[Record]] = [
+            self._reader(meta.name).entries_from(start, tag="scan")
+            for meta in self._l0 if meta.largest >= start]
+        sources.extend(self._level_scan(guards, start) for guards in self._levels)
+        return sources
 
-    def flush(self) -> None:
-        self.scheduler.submit(Job(
-            kind="flush", trigger=lambda: bool(self._mem),
-            fn=self._flush_memtable))
-
-    # -- write path ------------------------------------------------------------------
-
-    def _maybe_flush(self) -> None:
-        self.scheduler.submit(Job(
-            kind="flush",
-            trigger=lambda: self._mem.approximate_size >= self.config.memtable_size,
-            fn=self._flush_memtable))
-
-    def _flush_memtable(self) -> None:
-        if not self._mem:
-            return
-        builder = self._new_builder(tag="flush")
-        for record in self._mem.entries():
-            builder.add(*record)
-        self._l0.insert(0, builder.finish())
-        old_wal = self._wal
-        self._wal = self._new_wal()
-        old_wal.close()
-        self._disk.delete(old_wal.name)
-        self._mem = MemTable(seed=self.config.seed)
+    def _maybe_compact(self) -> None:
         self.scheduler.submit(Job(
             kind="compaction",
             trigger=lambda: len(self._l0) >= self.config.l0_compaction_trigger,
             fn=self._compact_l0))
-
-    def _new_wal(self) -> WalWriter:
-        name = f"{self._prefix}wal-{self._next_wal:06d}"
-        self._next_wal += 1
-        return WalWriter(self._disk, name, tag="wal")
-
-    def _new_builder(self, tag: str) -> SSTableBuilder:
-        name = f"{self._prefix}sst-{self._next_file:06d}"
-        self._next_file += 1
-        return SSTableBuilder(
-            self._disk, name, tag=tag,
-            block_size=self.config.block_size,
-            bloom_bits_per_key=self.config.bloom_bits_per_key,
-            prefix_compression=self.config.block_prefix_compression,
-        )
 
     # -- compaction -------------------------------------------------------------------
 
@@ -302,22 +212,7 @@ class PebblesDBStore(KVStore):
         boundaries = [g.key for g in guards[1:]]
         return bisect_right(boundaries, key)
 
-    def _reader(self, name: str) -> SSTableReader:
-        return self._tables.get(name)
-
-    def _compaction_reader(self, name: str) -> SSTableReader:
-        return self._tables.get(name, open_pattern="seq")
-
-    def _drop_file(self, name: str) -> None:
-        self._tables.evict(name)
-        self._cache.evict_file(name)
-        self._disk.delete(name)
-
     # -- introspection ------------------------------------------------------------------
-
-    def index_memory_bytes(self) -> int:
-        return sum(r.bloom.size_bytes for r in self._tables.open_readers()
-                   if r.bloom is not None)
 
     def guard_counts(self) -> list[int]:
         return [len(guards) for guards in self._levels]

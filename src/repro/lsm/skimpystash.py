@@ -13,6 +13,10 @@ Record layout in the append-only log::
 ``prev offset`` links records of the same bucket into a chain; the in-memory
 directory holds only each bucket's head offset.  Lookups read whole 4 KB
 pages (as the real system reads flash pages), one random read per hop.
+
+The directory lives only in memory, so the store cannot recover: opening
+it over a disk that already holds its log raises
+:class:`~repro.engine.errors.InvalidArgument`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from collections import OrderedDict
 
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
 from repro.env.storage import SimulatedDisk
-from repro.lsm.base import KVStore
+from repro.lsm.base import KVStore, refuse_reopen
 
 _HDR = struct.Struct("<BIIQ")
 _NIL = 0xFFFFFFFFFFFFFFFF
@@ -43,6 +47,7 @@ class SkimpyStashStore(KVStore):
         self.num_buckets = num_buckets
         self._heads = [_NIL] * num_buckets
         self._log_name = f"{prefix}stash-log"
+        refuse_reopen(self._disk, self.name, (self._log_name,))
         self._writer = self._disk.create(self._log_name)
         self.num_records = 0
         # RAM write buffer (the real system batches records into flash

@@ -7,7 +7,9 @@ from the tail, querying the LSM for each record's validity — the expensive
 strict-order GC that UniKV's partitioned, greedy GC is designed to beat.
 
 The LSM WAL is disabled: as in WiscKey, the value log itself provides write
-durability (each log record carries the key).
+durability (each log record carries the key).  This store has no recovery
+of its own: opening it over a disk that already holds its value log or
+index raises :class:`~repro.engine.errors.InvalidArgument`.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass, replace
 
 from repro.engine.vlog import VLogReader, VLogWriter, fetch_values, unpack_pointer
 from repro.env.storage import SimulatedDisk
-from repro.lsm.base import KVStore, LSMConfig
+from repro.lsm.base import KVStore, LSMConfig, refuse_reopen
 from repro.lsm.leveldb import LevelDBStore
-from repro.runtime.scheduler import Job, MaintenanceScheduler
+from repro.runtime.scheduler import Job
 
 _KB = 1024
 
@@ -46,20 +48,15 @@ class WiscKeyStore(KVStore):
         self._disk = disk if disk is not None else SimulatedDisk()
         self.config = config if config is not None else WiscKeyConfig()
         self._prefix = prefix
-        # One scheduler (and thus one backpressure state) for the value-log
-        # GC and the embedded index LSM's flush/compaction jobs.
-        self.scheduler = MaintenanceScheduler(
-            self._disk,
-            background_threads=self.config.background_threads,
-            slowdown_trigger=self.config.slowdown_trigger,
-            stop_trigger=self.config.stop_trigger,
-            slowdown_penalty_us=self.config.slowdown_penalty_us)
-        #: job, stall, cache and value-log counts (repro.obs)
-        self.metrics = self.scheduler.metrics
+        refuse_reopen(self._disk, self.name, (f"{prefix}vlog-", f"{prefix}idx-"))
         index_config = replace(self.config, wal_enabled=False)
         self._index = LevelDBStore(self._disk, config=index_config,
-                                   prefix=f"{prefix}idx-",
-                                   scheduler=self.scheduler)
+                                   prefix=f"{prefix}idx-")
+        # One scheduler (and thus one backpressure state) for the value-log
+        # GC and the embedded index LSM's flush/compaction jobs.
+        self.scheduler = self._index.scheduler
+        #: job, stall, cache and value-log counts (repro.obs)
+        self.metrics = self.scheduler.metrics
         self._segments: list[int] = []  # log numbers, oldest first
         self._next_log = 0
         self._head: VLogWriter | None = None

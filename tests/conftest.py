@@ -41,12 +41,11 @@ def disk_digest(disk: SimulatedDisk) -> str:
     return digest.hexdigest()
 
 
-def encode_block(records, prefix_compression: bool = False) -> bytes:
+def encode_block(records) -> bytes:
     """One data block holding ``records``, as :class:`SSTableBuilder`
     encodes it (the first block of a one-block table)."""
     disk = SimulatedDisk()
-    builder = SSTableBuilder(disk, "block", tag="test", block_size=1 << 30,
-                             prefix_compression=prefix_compression)
+    builder = SSTableBuilder(disk, "block", tag="test", block_size=1 << 30)
     for key, kind, value in records:
         builder.add(key, kind, value)
     builder.finish()

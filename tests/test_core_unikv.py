@@ -176,16 +176,6 @@ def test_scan_merge_consolidates_unsorted_store(tiny_config):
         assert p.unsorted.num_tables <= db.config.scan_merge_limit
 
 
-def test_wal_disabled_mode(tiny_config):
-    import dataclasses
-    cfg = dataclasses.replace(tiny_unikv_config(), wal_enabled=False)
-    db = UniKV(config=cfg)
-    for i in range(300):
-        db.put(f"k{i:04d}".encode(), b"v")
-    assert db.disk.stats.bytes_for(tag="wal") == 0
-    assert db.get(b"k0100") == b"v"
-
-
 def test_describe_reports_structure(tiny_config):
     db = UniKV(config=tiny_config)
     for i in range(600):

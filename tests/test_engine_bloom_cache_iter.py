@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.engine import BloomFilter, BlockCache
 from repro.engine.block import Block
-from repro.engine.iterators import clip_range, merge_sorted
+from repro.engine.iterators import merge_sorted
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
 from repro.obs import MetricsRegistry
 from tests.conftest import encode_block
@@ -127,14 +127,6 @@ def test_merge_keeps_tombstones_by_default():
 def test_merge_empty_sources():
     assert list(merge_sorted([])) == []
     assert list(merge_sorted([iter([]), iter([])])) == []
-
-
-def test_clip_range():
-    records = [(bytes([c]), KIND_VALUE, b"") for c in b"abcdef"]
-    out = [k for k, __, ___ in clip_range(iter(records), b"b", b"e")]
-    assert out == [b"b", b"c", b"d"]
-    out = [k for k, __, ___ in clip_range(iter(records), None, None)]
-    assert len(out) == 6
 
 
 @settings(max_examples=30)

@@ -57,15 +57,6 @@ def test_insert_returns_replaced_value():
     assert sl.get(b"k") == 2
 
 
-def test_first_key_and_clear():
-    sl = SkipList()
-    assert sl.first_key() is None
-    sl.insert(b"q", 1)
-    assert sl.first_key() == b"q"
-    sl.clear()
-    assert len(sl) == 0 and sl.first_key() is None
-
-
 def test_empty_iteration():
     assert list(SkipList().values()) == []
     assert list(SkipList().values_from(b"a")) == []

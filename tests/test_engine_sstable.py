@@ -1,5 +1,7 @@
 """Unit + property tests for data blocks and SSTables."""
 
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,20 +37,17 @@ def test_block_roundtrip():
 
 
 def test_block_rejects_out_of_order():
-    for prefix in (False, True):
-        builder = SSTableBuilder(SimulatedDisk(), "t", tag="flush",
-                                 prefix_compression=prefix)
+    builder = SSTableBuilder(SimulatedDisk(), "t", tag="flush")
+    builder.add(b"b", KIND_VALUE, b"")
+    with pytest.raises(ValueError):
+        builder.add(b"a", KIND_VALUE, b"")
+    with pytest.raises(ValueError):
         builder.add(b"b", KIND_VALUE, b"")
-        with pytest.raises(ValueError):
-            builder.add(b"a", KIND_VALUE, b"")
-        with pytest.raises(ValueError):
-            builder.add(b"b", KIND_VALUE, b"")
 
 
-@pytest.mark.parametrize("prefix", [False, True])
-def test_unknown_record_kind_rejected(prefix):
+def test_unknown_record_kind_rejected():
     disk = SimulatedDisk()
-    builder = SSTableBuilder(disk, "t", tag="flush", prefix_compression=prefix)
+    builder = SSTableBuilder(disk, "t", tag="flush")
     with pytest.raises(ValueError, match="unknown record kind 7"):
         builder.add(b"a", 7, b"x")
     # The rejected record left no trace in the table.
@@ -62,6 +61,17 @@ def test_unknown_record_kind_rejected(prefix):
 def test_block_decode_rejects_truncated():
     with pytest.raises(CorruptionError):
         Block.decode(b"\x01")
+
+
+@pytest.mark.parametrize("fmt", [1, 0xFF])
+def test_block_decode_rejects_unknown_format(fmt):
+    # A block whose CRC matches but whose format byte is not FORMAT_PLAIN
+    # is corrupt.
+    buf = bytearray(encode_block([(b"a", KIND_VALUE, b"1")]))
+    buf[0] = fmt
+    buf[-4:] = zlib.crc32(buf[:-4]).to_bytes(4, "little")
+    with pytest.raises(CorruptionError, match=f"unknown block format {fmt}"):
+        Block.decode(bytes(buf))
 
 
 def test_block_lower_bound():

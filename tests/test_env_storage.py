@@ -65,14 +65,6 @@ def test_list_with_prefix_sorted():
     assert disk.list() == ["p1/a", "p1/b", "p2/c"]
 
 
-def test_rename():
-    disk = SimulatedDisk()
-    disk.create("old").append(b"data", tag="t")
-    disk.rename("old", "new")
-    assert not disk.exists("old")
-    assert disk.read_full("new", tag="t") == b"data"
-
-
 def test_total_bytes():
     disk = SimulatedDisk()
     disk.create("a/x").append(b"12345", tag="t")

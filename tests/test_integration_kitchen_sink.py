@@ -1,7 +1,7 @@
 """Kitchen-sink integration: every optional feature enabled at once.
 
-Prefix compression + selective KV separation + write batches + crash
-injection + recovery + scans, under one mixed-size workload — the
+Selective KV separation + frequent index checkpoints + write batches +
+crash injection + recovery + scans, under one mixed-size workload — the
 combination a downstream user would actually run with.
 """
 
@@ -16,7 +16,6 @@ from tests.conftest import tiny_unikv_config
 
 def full_featured_config():
     return tiny_unikv_config(
-        block_prefix_compression=True,
         inline_value_threshold=32,
         index_checkpoint_interval=2,
     )

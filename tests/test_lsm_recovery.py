@@ -1,12 +1,16 @@
-"""Recovery tests for the LevelDB-family baselines (manifest + WAL replay)."""
+"""Recovery tests for the LevelDB-family baselines (manifest + WAL replay),
+and the refusal of the baselines without recovery to reopen their files."""
 
 import random
 
 import pytest
 
 from repro.core.manifest import Manifest
+from repro.engine.errors import InvalidArgument
 from repro.env.storage import DiskCrashed, SimulatedDisk
-from repro.lsm import HyperLevelDBStore, LevelDBStore, RocksDBStore
+from repro.lsm import (HyperLevelDBStore, LevelDBStore, PebblesDBStore, RocksDBStore,
+                       SkimpyStashStore, WiscKeyStore)
+from repro.lsm.wisckey import WiscKeyConfig
 from tests.test_lsm_leveldb import small_config
 
 
@@ -158,3 +162,48 @@ def test_double_reopen_stable():
     db3 = LevelDBStore(disk=db2.disk.clone(), config=small_config())
     for i in range(0, 600, 29):
         assert db3.get(f"k{i:04d}".encode()) == str(i).encode()
+
+
+def _put_500(db):
+    for i in range(500):
+        db.put(b"k%04d" % i, b"value-%04d" % i)
+
+
+def test_pebblesdb_refuses_to_reopen_its_files():
+    db = PebblesDBStore(config=small_config())
+    _put_500(db)
+    clone = db.disk.clone()
+    before = {name: clone.size(name) for name in clone.list()}
+    with pytest.raises(InvalidArgument):
+        PebblesDBStore(disk=clone, config=small_config())
+    assert {name: clone.size(name) for name in clone.list()} == before
+
+
+def test_wisckey_refuses_to_reopen_its_files():
+    config = WiscKeyConfig(**vars(small_config()), vlog_segment_size=4096)
+    db = WiscKeyStore(config=config)
+    _put_500(db)
+    clone = db.disk.clone()
+    before = {name: clone.size(name) for name in clone.list()}
+    with pytest.raises(InvalidArgument):
+        WiscKeyStore(disk=clone, config=config)
+    assert {name: clone.size(name) for name in clone.list()} == before
+
+
+def test_skimpystash_refuses_to_reopen_its_log():
+    db = SkimpyStashStore(write_buffer_bytes=1024)
+    _put_500(db)
+    clone = db.disk.clone()
+    size = clone.size("stash-log")
+    assert size > 0
+    with pytest.raises(InvalidArgument):
+        SkimpyStashStore(disk=clone)
+    assert clone.size("stash-log") == size
+
+
+def test_baselines_without_recovery_open_beside_other_prefixes():
+    disk = SimulatedDisk()
+    _put_500(PebblesDBStore(disk=disk, config=small_config(), prefix="a/"))
+    PebblesDBStore(disk=disk, config=small_config(), prefix="b/")
+    SkimpyStashStore(disk=disk, prefix="b/")
+    WiscKeyStore(disk=disk, prefix="b/")

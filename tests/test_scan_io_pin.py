@@ -5,9 +5,8 @@ A seeded script of puts, deletes and overwrites on a
 scan-merges, GC and splits.  Scans then start at partition boundaries,
 just below them (so they cross into the next partition), on deleted keys
 (a tombstone in some layer), at absent keys that fall inside a data block,
-and at present keys; ``items()`` streams whole ranges.  Four
-configs cover plain blocks, prefix-compressed blocks, selective KV
-separation (``inline_value_threshold > 0``, so the SortedStore holds
+and at present keys; ``items()`` streams whole ranges.  Three
+configs cover plain blocks, selective KV separation (``inline_value_threshold > 0``, so the SortedStore holds
 ``KIND_VALUE`` records beside value pointers) and the merge's full
 re-separation (``partial_kv_separation=False``, which rewrites every old
 value into the new log).
@@ -32,7 +31,6 @@ from tests.conftest import disk_digest, tiny_unikv_config
 
 CASES = {
     "plain": {},
-    "prefix": {"block_prefix_compression": True},
     "inline": {"inline_value_threshold": 24},
     "no_partial": {"partial_kv_separation": False},
 }
@@ -221,39 +219,6 @@ EXPECTED: dict = {
             ("write", "seq", "wal"): (2400, 128629),
         },
         "files": "8f83f0fa9a4cf0b9293cc6b61ee1ea273cfba992de94f1bcfa34e138f0c45e54",
-    },
-    "prefix": {
-        "core": {
-            "flushes": 192,
-            "merges": 17,
-            "scan_merges": 56,
-            "gc_runs": 14,
-            "splits": 11,
-            "index_checkpoints": 42,
-            "hash_false_positive_probes": 0,
-        },
-        "after_load": (0.0036604094505309232, (0, 0, 0, 2750)),
-        "after_scans": (0.06199992635727009, (296, 278272, 211, 4657)),
-        "io": {
-            ("read", "rand", "scan"): (230, 32469),
-            ("read", "rand", "scan_value"): (296, 278272),
-            ("read", "rand", "table_open"): (190, 17435),
-            ("read", "seq", "gc"): (550, 231272),
-            ("read", "seq", "merge"): (795, 110878),
-            ("read", "seq", "scan"): (1677, 227316),
-            ("read", "seq", "scan_merge"): (861, 120513),
-            ("read", "seq", "split"): (588, 80166),
-            ("read", "seq", "table_open"): (1144, 113366),
-            ("write", "seq", "checkpoint"): (42, 19392),
-            ("write", "seq", "flush"): (1349, 140300),
-            ("write", "seq", "gc"): (2666, 181364),
-            ("write", "seq", "manifest"): (548, 123133),
-            ("write", "seq", "merge"): (2188, 165249),
-            ("write", "seq", "scan_merge"): (938, 136872),
-            ("write", "seq", "split"): (1391, 115392),
-            ("write", "seq", "wal"): (2400, 128629),
-        },
-        "files": "f095316c313bb15e1943edd85769f12297a34754743f1b7f0b857aafa6dbcc88",
     },
 }
 

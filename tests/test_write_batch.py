@@ -3,6 +3,7 @@
 import pytest
 
 from repro import LevelDBStore, PebblesDBStore, UniKV
+from repro.lsm import SkimpyStashStore
 from repro.engine import WalReader, WalWriter
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
 from repro.env import SimulatedDisk
@@ -74,11 +75,23 @@ def test_write_batch_rejects_unknown_op():
 
 
 def test_default_write_batch_via_base_class():
-    db = PebblesDBStore(config=small_config())
+    db = SkimpyStashStore(num_buckets=16)
     db.write_batch([("put", b"x", b"1"), ("delete", b"x"),
                     ("put", b"y", b"2")])
     assert db.get(b"x") is None
     assert db.get(b"y") == b"2"
+    with pytest.raises(ValueError):
+        db.write_batch([("increment", b"a", b"1")])
+
+
+def test_pebblesdb_write_batch_is_one_wal_record():
+    db = PebblesDBStore(config=small_config(memtable_size=1 << 20))
+    db.write_batch([("put", b"k%03d" % i, b"v") for i in range(50)]
+                   + [("delete", b"k007")])
+    assert db.disk.stats.records[("write", "seq", "wal")].ops == 1
+    [wal] = db.disk.list("wal-")
+    assert len(list(WalReader(db.disk, wal).replay())) == 51
+    assert db.get(b"k007") is None and db.get(b"k008") == b"v"
 
 
 def test_unikv_write_batch_applies_all(tiny_config):
