@@ -209,6 +209,8 @@ def write_run(ctx: StoreContext, partition_id: int, records: Iterable[Record],
 
     tables = write_tables(separated(), lambda: ctx.new_table(tag),
                           ctx.config.sstable_size)
+    for meta in tables:
+        ctx.load_table(meta)
     if writer is None:
         return tables, None, carried_bytes
     # Every record of the new log is live.

@@ -309,7 +309,7 @@ class UniKV(KVStore):
         for key, kind, value in partition.mem.entries():
             add(key, kind, value)
             add_key(key)
-        meta = builder.finish()
+        meta = self.ctx.load_table(builder.finish())
         self.ctx.crash_point("flush:before_commit")
         self.ctx.manifest.append({
             "type": "flush",
