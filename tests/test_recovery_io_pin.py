@@ -160,7 +160,7 @@ EXPECTED: dict = {
                 ("read", "seq", "index_rebuild"): (10, 1140),
                 ("read", "seq", "manifest_replay"): (2, 1921),
                 ("read", "seq", "scan_merge"): (5, 572),
-                ("read", "seq", "table_open"): (2, 190),
+                ("read", "seq", "table_open"): (6, 621),
                 ("read", "seq", "wal_replay"): (2, 836),
                 ("write", "seq", "checkpoint"): (1, 784),
                 ("write", "seq", "flush"): (15, 1465),
@@ -168,7 +168,7 @@ EXPECTED: dict = {
                 ("write", "seq", "scan_merge"): (11, 1240),
                 ("write", "seq", "wal"): (56, 1662),
             },
-            "seconds": "0.0010674105072021474",
+            "seconds": "0.0010682325744628897",
             "files": "b8e4e05e2e829b0c645f64a9e9fae11d90f61f10094b1381abb6dd27c3030a7b",
             "reads": "1a4dea1327ca22a748de8ab7c28b70def20db595e02567fff8019e8cda1b2059",
         },
@@ -194,7 +194,7 @@ EXPECTED: dict = {
                 ("read", "seq", "manifest_repair"): (1, 564),
                 ("read", "seq", "manifest_replay"): (2, 2331),
                 ("read", "seq", "scan_merge"): (18, 2138),
-                ("read", "seq", "table_open"): (8, 722),
+                ("read", "seq", "table_open"): (10, 1077),
                 ("read", "seq", "wal_replay"): (2, 1088),
                 ("write", "seq", "checkpoint"): (1, 772),
                 ("write", "seq", "flush"): (20, 1703),
@@ -202,7 +202,7 @@ EXPECTED: dict = {
                 ("write", "seq", "scan_merge"): (25, 3049),
                 ("write", "seq", "wal"): (30, 830),
             },
-            "seconds": "0.000518918018341064",
+            "seconds": "0.0005195951271057123",
             "files": "ed5b0d25d78454cbb90e428ec6649aeb7386562a168061c126c4cbc18dd10c6a",
             "reads": "707d050c3d7bab1263827d77bb186636f0fe0791bbdd8d9fcfe0810fa42cf587",
         },

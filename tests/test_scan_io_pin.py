@@ -133,18 +133,17 @@ EXPECTED: dict = {
             "index_checkpoints": 44,
             "hash_false_positive_probes": 0,
         },
-        "after_load": (0.0037555480003356677, (0, 0, 0, 3010)),
-        "after_scans": (0.0556432480430596, (258, 218009, 205, 4871)),
+        "after_load": (0.0037891001701354844, (0, 0, 0, 3010)),
+        "after_scans": (0.04012324804305999, (258, 218009, 205, 4871)),
         "io": {
             ("read", "rand", "scan"): (185, 26467),
             ("read", "rand", "scan_value"): (258, 218009),
-            ("read", "rand", "table_open"): (194, 17591),
             ("read", "seq", "gc"): (599, 205185),
             ("read", "seq", "merge"): (975, 137039),
             ("read", "seq", "scan"): (1676, 224315),
             ("read", "seq", "scan_merge"): (885, 127711),
             ("read", "seq", "split"): (597, 81304),
-            ("read", "seq", "table_open"): (1254, 124156),
+            ("read", "seq", "table_open"): (1448, 141747),
             ("write", "seq", "checkpoint"): (44, 20252),
             ("write", "seq", "flush"): (1354, 144455),
             ("write", "seq", "gc"): (2228, 171150),
@@ -166,17 +165,16 @@ EXPECTED: dict = {
             "index_checkpoints": 41,
             "hash_false_positive_probes": 0,
         },
-        "after_load": (0.0032791252136230636, (0, 0, 0, 2488)),
-        "after_scans": (0.06390245582580495, (379, 314626, 191, 4286)),
+        "after_load": (0.0033126945495605686, (0, 0, 0, 2488)),
+        "after_scans": (0.047902455825805434, (379, 314626, 191, 4286)),
         "io": {
             ("read", "rand", "scan"): (165, 25135),
             ("read", "rand", "scan_value"): (379, 314626),
-            ("read", "rand", "table_open"): (200, 17600),
             ("read", "seq", "merge"): (849, 232928),
             ("read", "seq", "scan"): (1633, 221102),
             ("read", "seq", "scan_merge"): (901, 129535),
             ("read", "seq", "split"): (766, 105702),
-            ("read", "seq", "table_open"): (984, 100576),
+            ("read", "seq", "table_open"): (1184, 118176),
             ("write", "seq", "checkpoint"): (41, 19220),
             ("write", "seq", "flush"): (1334, 142365),
             ("write", "seq", "manifest"): (540, 111847),
@@ -197,18 +195,17 @@ EXPECTED: dict = {
             "index_checkpoints": 41,
             "hash_false_positive_probes": 0,
         },
-        "after_load": (0.003903620243072556, (0, 0, 0, 3015)),
-        "after_scans": (0.06452695085525445, (379, 314626, 191, 4813)),
+        "after_load": (0.003937189579010057, (0, 0, 0, 3015)),
+        "after_scans": (0.04852695085525488, (379, 314626, 191, 4813)),
         "io": {
             ("read", "rand", "scan"): (165, 25135),
             ("read", "rand", "scan_value"): (379, 314626),
-            ("read", "rand", "table_open"): (200, 17600),
             ("read", "seq", "gc"): (571, 229912),
             ("read", "seq", "merge"): (821, 114453),
             ("read", "seq", "scan"): (1633, 221102),
             ("read", "seq", "scan_merge"): (901, 129535),
             ("read", "seq", "split"): (766, 105702),
-            ("read", "seq", "table_open"): (1262, 124593),
+            ("read", "seq", "table_open"): (1462, 142193),
             ("write", "seq", "checkpoint"): (41, 19220),
             ("write", "seq", "flush"): (1334, 142365),
             ("write", "seq", "gc"): (2658, 182659),

@@ -66,11 +66,11 @@ EXPECTED_STATS = {
                 "split": 6
             },
             "job_seconds": {
-                "flush": 0.00018011331558227605,
+                "flush": 0.00020173501968383863,
                 "gc": 0.0003052253723144629,
-                "merge": 0.00031090831756592645,
-                "scan_merge": 0.0002642292976379403,
-                "split": 0.00026555776596069925
+                "merge": 0.000312092781066903,
+                "scan_merge": 0.0002570157051086433,
+                "split": 0.0002665247917175355
             },
             "queue_depth_high_water": 2,
             "stall_causes": {
@@ -83,7 +83,7 @@ EXPECTED_STATS = {
                 "stop:split": 6
             },
             "stall_events": 107,
-            "stall_seconds": 0.0012143673896789823
+            "stall_seconds": 0.0012304539680481228
         }
     },
     "server": {
@@ -119,11 +119,11 @@ EXPECTED_STATS = {
                     "split": 4
                 },
                 "job_seconds": {
-                    "flush": 0.00011657476425170978,
+                    "flush": 0.00013055181503295987,
                     "gc": 0.00022891044616700496,
-                    "merge": 0.00019886875152588836,
-                    "scan_merge": 0.00016249656677246204,
-                    "split": 0.0001736044883728101
+                    "merge": 0.000199543952941904,
+                    "scan_merge": 0.000158029556274415,
+                    "split": 0.0001739058494567947
                 },
                 "queue_depth_high_water": 2,
                 "stall_causes": {
@@ -135,7 +135,7 @@ EXPECTED_STATS = {
                     "stop:split": 4
                 },
                 "stall_events": 69,
-                "stall_seconds": 0.000831867694854769
+                "stall_seconds": 0.0008420262336731285
             }
         },
         {
@@ -160,11 +160,11 @@ EXPECTED_STATS = {
                     "split": 2
                 },
                 "job_seconds": {
-                    "flush": 6.353855133056627e-05,
+                    "flush": 7.118320465087876e-05,
                     "gc": 7.631492614745795e-05,
-                    "merge": 0.00011203956604003809,
-                    "scan_merge": 0.00010173273086547824,
-                    "split": 9.195327758788915e-05
+                    "merge": 0.00011254882812499896,
+                    "scan_merge": 9.898614883422831e-05,
+                    "split": 9.261894226074083e-05
                 },
                 "queue_depth_high_water": 2,
                 "stall_causes": {
@@ -177,7 +177,7 @@ EXPECTED_STATS = {
                     "stop:split": 2
                 },
                 "stall_events": 38,
-                "stall_seconds": 0.00038249969482421315
+                "stall_seconds": 0.00038842773437499435
             }
         }
     ]
@@ -197,11 +197,11 @@ EXPECTED_DESCRIBE = [
                 "split": 4
             },
             "job_seconds": {
-                "flush": 0.00011657476425170978,
+                "flush": 0.00013055181503295987,
                 "gc": 0.00022891044616700496,
-                "merge": 0.00019886875152588836,
-                "scan_merge": 0.00016249656677246204,
-                "split": 0.0001736044883728101
+                "merge": 0.000199543952941904,
+                "scan_merge": 0.000158029556274415,
+                "split": 0.0001739058494567947
             },
             "queue_depth": 0,
             "queue_depth_high_water": 2,
@@ -214,7 +214,7 @@ EXPECTED_DESCRIBE = [
                 "stop:split": 4
             },
             "stall_events": 69,
-            "stall_seconds": 0.000831867694854769
+            "stall_seconds": 0.0008420262336731285
         },
         "stats": {
             "flushes": 44,
@@ -238,11 +238,11 @@ EXPECTED_DESCRIBE = [
                 "split": 2
             },
             "job_seconds": {
-                "flush": 6.353855133056627e-05,
+                "flush": 7.118320465087876e-05,
                 "gc": 7.631492614745795e-05,
-                "merge": 0.00011203956604003809,
-                "scan_merge": 0.00010173273086547824,
-                "split": 9.195327758788915e-05
+                "merge": 0.00011254882812499896,
+                "scan_merge": 9.898614883422831e-05,
+                "split": 9.261894226074083e-05
             },
             "queue_depth": 0,
             "queue_depth_high_water": 2,
@@ -256,7 +256,7 @@ EXPECTED_DESCRIBE = [
                 "stop:split": 2
             },
             "stall_events": 38,
-            "stall_seconds": 0.00038249969482421315
+            "stall_seconds": 0.00038842773437499435
         },
         "stats": {
             "flushes": 24,

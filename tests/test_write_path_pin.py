@@ -92,16 +92,15 @@ EXPECTED: dict = {
                 "index_checkpoints": 21,
                 "hash_false_positive_probes": 0,
             },
-            "seconds": "0.027167130661016108",
+            "seconds": "0.023976339340215314",
             "io": {
                 ("read", "rand", "lookup"): (25, 25760),
                 ("read", "rand", "lookup_value"): (25, 3300),
-                ("read", "rand", "table_open"): (40, 8444),
                 ("read", "seq", "gc"): (249, 1324309),
                 ("read", "seq", "merge"): (1533, 1570577),
                 ("read", "seq", "scan_merge"): (537, 541989),
                 ("read", "seq", "split"): (203, 208022),
-                ("read", "seq", "table_open"): (422, 111316),
+                ("read", "seq", "table_open"): (488, 124588),
                 ("write", "seq", "checkpoint"): (21, 104124),
                 ("write", "seq", "flush"): (923, 835538),
                 ("write", "seq", "gc"): (5139, 885181),
@@ -123,16 +122,15 @@ EXPECTED: dict = {
                 "index_checkpoints": 20,
                 "hash_false_positive_probes": 0,
             },
-            "seconds": "0.026453948078160722",
+            "seconds": "0.023584308795934147",
             "io": {
                 ("read", "rand", "lookup"): (24, 24477),
                 ("read", "rand", "lookup_value"): (22, 2904),
-                ("read", "rand", "table_open"): (36, 7596),
                 ("read", "seq", "gc"): (245, 1321507),
                 ("read", "seq", "merge"): (1546, 1583149),
                 ("read", "seq", "scan_merge"): (545, 552381),
                 ("read", "seq", "split"): (189, 193534),
-                ("read", "seq", "table_open"): (424, 111524),
+                ("read", "seq", "table_open"): (488, 124552),
                 ("write", "seq", "checkpoint"): (20, 102488),
                 ("write", "seq", "flush"): (912, 825790),
                 ("write", "seq", "gc"): (5057, 870883),
@@ -154,16 +152,15 @@ EXPECTED: dict = {
                 "index_checkpoints": 21,
                 "hash_false_positive_probes": 0,
             },
-            "seconds": "0.027084957790379848",
+            "seconds": "0.024378911952977547",
             "io": {
                 ("read", "rand", "lookup"): (27, 27340),
                 ("read", "rand", "lookup_value"): (29, 3828),
-                ("read", "rand", "table_open"): (34, 6596),
                 ("read", "seq", "gc"): (244, 1310852),
                 ("read", "seq", "merge"): (1533, 1571297),
                 ("read", "seq", "scan_merge"): (546, 552519),
                 ("read", "seq", "split"): (188, 192094),
-                ("read", "seq", "table_open"): (418, 110720),
+                ("read", "seq", "table_open"): (486, 124632),
                 ("write", "seq", "checkpoint"): (21, 104316),
                 ("write", "seq", "flush"): (930, 842819),
                 ("write", "seq", "gc"): (5030, 866132),
@@ -185,16 +182,15 @@ EXPECTED: dict = {
                 "index_checkpoints": 21,
                 "hash_false_positive_probes": 0,
             },
-            "seconds": "0.02932785919189987",
+            "seconds": "0.025656892395024854",
             "io": {
                 ("read", "rand", "lookup"): (33, 34156),
                 ("read", "rand", "lookup_value"): (37, 4884),
-                ("read", "rand", "table_open"): (46, 8708),
                 ("read", "seq", "gc"): (249, 1327413),
                 ("read", "seq", "merge"): (1538, 1573409),
                 ("read", "seq", "scan_merge"): (537, 546246),
                 ("read", "seq", "split"): (204, 208549),
-                ("read", "seq", "table_open"): (422, 111532),
+                ("read", "seq", "table_open"): (490, 124976),
                 ("write", "seq", "checkpoint"): (21, 103932),
                 ("write", "seq", "flush"): (919, 832778),
                 ("write", "seq", "gc"): (5135, 884457),
