@@ -88,8 +88,9 @@ class UniKVConfig:
     block_cache_bytes: int = 32 * _KB
     #: open-table (metadata) cache entries.  UniKV keeps table metadata
     #: memory-resident (the paper: index-block metadata "is usually cached
-    #: in memory" — affordable because Bloom filters were removed), so the
-    #: default effectively pins every table; the resident bytes are
+    #: in memory" — affordable because Bloom filters were removed): the job
+    #: that writes a table loads it here before its commit, and this
+    #: default keeps every live table resident; the resident bytes are
     #: reported via UniKV.table_metadata_bytes().
     table_cache_size: int = 4096
     seed: int = 0

@@ -2,10 +2,16 @@
 
 Real engines keep a limited number of table files "open" (footer, index
 block, Bloom filter parsed and resident); probing a table that fell out of
-the cache pays the metadata reads again.  This is a large part of real
-multi-level read amplification — each level probed on a lookup may need a
-table-cache fill — and therefore part of what UniKV's single-table lookups
-save.
+the cache pays the metadata reads again.  The LSM baselines use it that
+way, on demand, with LevelDB's ``max_open_files`` scaled to 16 tables.
+This is a large part of real multi-level read amplification — each level
+probed on a lookup may need a table-cache fill — and therefore part of
+what UniKV's single-table lookups save.
+
+UniKV sizes its cache to hold every live table, and each job that writes
+a table (flush, scan-merge, merge, GC, split) opens it here before its
+commit, as LevelDB's verify-on-build does; only tables found on disk at
+recovery are opened on first use.
 """
 
 from __future__ import annotations
