@@ -3,6 +3,11 @@
 Shared by all table readers of one store.  A hit avoids the device read
 entirely, so caching behaviour shows up in the modelled throughput exactly as
 it does in the paper's page-cache / block-cache discussion.
+
+What goes in is the reader's choice (``SSTableReader._read_block``): only
+blocks read at random (point lookups, a scan's seek block) are inserted.
+Streamed blocks are looked up but never inserted, so a merge or a long scan
+cannot evict the blocks that cost a random read to fetch again.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from repro.engine.block_cache import BlockCache
 from repro.engine.bloom import BloomFilter
 from repro.engine.errors import CorruptionError
 from repro.engine.keys import ENTRY_HEADER, KINDS, pack_u32
-from repro.env.iostats import SEQ
+from repro.env.iostats import RAND, SEQ
 from repro.env.storage import SimulatedDisk
 
 _FOOTER = struct.Struct("<QIQIQIIQ")  # index/bloom/props locators, metadata CRC, magic
@@ -267,14 +267,24 @@ class SSTableReader:
         total = sum(len(key) + 12 for key in self._block_last_keys)
         return total + len(self.smallest) + len(self.largest) + 24
 
-    def _read_block(self, block_index: int, tag: str, pattern: str = "rand") -> Block:
+    def _read_block(self, block_index: int, tag: str, pattern: str = RAND) -> Block:
+        """One data block, from the block cache when it is there.
+
+        Only a block read at random (a point lookup, a scan's seek) is
+        inserted on a miss: re-reading it would cost another random read.
+        A block streamed with ``SEQ`` (a scan's follow-on blocks, every
+        merge, compaction and rebuild pass) is served from the cache if
+        present but not inserted, as LevelDB's ``fill_cache = false`` keeps
+        compaction input out; it would only evict the blocks that are
+        expensive to read again.
+        """
         off, length = self._block_locs[block_index]
         if self._cache is not None:
             cached = self._cache.get(self.name, off)
             if cached is not None:
                 return cached
         block = Block.decode(self._file.read(off, length, tag=tag, pattern=pattern))
-        if self._cache is not None:
+        if self._cache is not None and pattern == RAND:
             self._cache.put(self.name, off, block)
         return block
 
