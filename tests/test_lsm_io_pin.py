@@ -64,7 +64,7 @@ EXPECTED: dict = {
             ("read", "rand", "scan"): (2, 276),
             ("read", "rand", "table_open"): (326, 30479),
             ("read", "seq", "compaction"): (6415, 858998),
-            ("read", "seq", "scan"): (375, 50183),
+            ("read", "seq", "scan"): (347, 46149),
             ("read", "seq", "table_open"): (3540, 322537),
             ("write", "seq", "compaction"): (12412, 1074254),
             ("write", "seq", "flush"): (1860, 176341),
@@ -79,7 +79,7 @@ EXPECTED: dict = {
             ("read", "rand", "scan"): (1, 166),
             ("read", "rand", "table_open"): (164, 21958),
             ("read", "seq", "compaction"): (5245, 760799),
-            ("read", "seq", "scan"): (294, 42876),
+            ("read", "seq", "scan"): (267, 38813),
             ("read", "seq", "table_open"): (1590, 211985),
             ("write", "seq", "compaction"): (7518, 862432),
             ("write", "seq", "flush"): (1382, 165347),
@@ -94,7 +94,7 @@ EXPECTED: dict = {
             ("read", "rand", "scan"): (6, 835),
             ("read", "rand", "table_open"): (378, 32994),
             ("read", "seq", "compaction"): (5165, 693909),
-            ("read", "seq", "scan"): (400, 53184),
+            ("read", "seq", "scan"): (374, 49658),
             ("read", "seq", "table_open"): (2872, 260566),
             ("write", "seq", "compaction"): (9955, 853652),
             ("write", "seq", "flush"): (1860, 176341),
@@ -119,15 +119,15 @@ EXPECTED: dict = {
     },
     "wisckey": {
         "io": {
-            ("read", "rand", "gc_lookup"): (1646, 238655),
+            ("read", "rand", "gc_lookup"): (1638, 237402),
             ("read", "rand", "lookup"): (86, 12234),
             ("read", "rand", "lookup_value"): (90, 4211),
             ("read", "rand", "scan"): (2, 274),
             ("read", "rand", "scan_value"): (15, 58316),
             ("read", "rand", "table_open"): (4336, 413441),
-            ("read", "seq", "compaction"): (6410, 841857),
+            ("read", "seq", "compaction"): (6288, 824592),
             ("read", "seq", "gc"): (21, 86453),
-            ("read", "seq", "scan"): (275, 35918),
+            ("read", "seq", "scan"): (248, 31910),
             ("read", "seq", "table_open"): (3386, 309244),
             ("write", "seq", "compaction"): (12407, 1055939),
             ("write", "seq", "flush"): (1840, 173537),

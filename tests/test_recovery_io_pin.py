@@ -141,6 +141,7 @@ EXPECTED: dict = {
     "unikv-torn-wal": [
         {
             "io": {
+                ("read", "rand", "lookup"): (7, 849),
                 ("read", "rand", "table_open"): (4, 378),
                 ("read", "seq", "index_rebuild"): (10, 1140),
                 ("read", "seq", "manifest_replay"): (1, 552),
@@ -148,18 +149,18 @@ EXPECTED: dict = {
                 ("write", "seq", "manifest"): (1, 56),
                 ("write", "seq", "wal"): (26, 832),
             },
-            "seconds": "0.0003276599121093745",
+            "seconds": "0.0008892792510986324",
             "files": "a00f69e1d2786f2f03397ad16b290bd9cbca5e8142e26fec8559b5191135084f",
             "reads": "580aebb061903eea035dbf26f5b8abe7fe488bd727d5108e90d5e2af55e47941",
         },
         {
             "io": {
-                ("read", "rand", "lookup"): (5, 659),
+                ("read", "rand", "lookup"): (12, 1508),
                 ("read", "rand", "table_open"): (8, 809),
                 ("read", "seq", "checkpoint_load"): (1, 784),
                 ("read", "seq", "index_rebuild"): (10, 1140),
                 ("read", "seq", "manifest_replay"): (2, 1921),
-                ("read", "seq", "scan_merge"): (5, 572),
+                ("read", "seq", "scan_merge"): (8, 863),
                 ("read", "seq", "table_open"): (6, 621),
                 ("read", "seq", "wal_replay"): (2, 836),
                 ("write", "seq", "checkpoint"): (1, 784),
@@ -168,7 +169,7 @@ EXPECTED: dict = {
                 ("write", "seq", "scan_merge"): (11, 1240),
                 ("write", "seq", "wal"): (56, 1662),
             },
-            "seconds": "0.0010682325744628897",
+            "seconds": "0.001630406951904298",
             "files": "b8e4e05e2e829b0c645f64a9e9fae11d90f61f10094b1381abb6dd27c3030a7b",
             "reads": "1a4dea1327ca22a748de8ab7c28b70def20db595e02567fff8019e8cda1b2059",
         },
@@ -176,6 +177,7 @@ EXPECTED: dict = {
     "unikv-torn-manifest": [
         {
             "io": {
+                ("read", "rand", "lookup"): (7, 849),
                 ("read", "rand", "table_open"): (4, 378),
                 ("read", "seq", "index_rebuild"): (10, 1140),
                 ("read", "seq", "manifest_repair"): (1, 564),
@@ -183,17 +185,18 @@ EXPECTED: dict = {
                 ("read", "seq", "wal_replay"): (1, 1088),
                 ("write", "seq", "manifest"): (1, 552),
             },
-            "seconds": "0.0003284381103515624",
+            "seconds": "0.0008900574493408203",
             "files": "aa696399b3c2c0acdd5aecb1d9d0bd00191cb842045902dbd64ff5bff567dc29",
             "reads": "cfbcc631a4bfd8f9b5c6a8dda9922cbec48fe3ee2b0cd9b4ce7d3a76c17a879f",
         },
         {
             "io": {
+                ("read", "rand", "lookup"): (12, 1532),
                 ("read", "rand", "table_open"): (6, 733),
                 ("read", "seq", "index_rebuild"): (22, 2677),
                 ("read", "seq", "manifest_repair"): (1, 564),
                 ("read", "seq", "manifest_replay"): (2, 2331),
-                ("read", "seq", "scan_merge"): (18, 2138),
+                ("read", "seq", "scan_merge"): (21, 2429),
                 ("read", "seq", "table_open"): (10, 1077),
                 ("read", "seq", "wal_replay"): (2, 1088),
                 ("write", "seq", "checkpoint"): (1, 772),
@@ -202,7 +205,7 @@ EXPECTED: dict = {
                 ("write", "seq", "scan_merge"): (25, 3049),
                 ("write", "seq", "wal"): (30, 830),
             },
-            "seconds": "0.0005195951271057123",
+            "seconds": "0.001483072223663332",
             "files": "ed5b0d25d78454cbb90e428ec6649aeb7386562a168061c126c4cbc18dd10c6a",
             "reads": "707d050c3d7bab1263827d77bb186636f0fe0791bbdd8d9fcfe0810fa42cf587",
         },

@@ -134,13 +134,13 @@ EXPECTED: dict = {
             "hash_false_positive_probes": 0,
         },
         "after_load": (0.0037891001701354844, (0, 0, 0, 3010)),
-        "after_scans": (0.04012324804305999, (258, 218009, 205, 4871)),
+        "after_scans": (0.03851433500289892, (258, 218009, 234, 4842)),
         "io": {
-            ("read", "rand", "scan"): (185, 26467),
+            ("read", "rand", "scan"): (165, 24113),
             ("read", "rand", "scan_value"): (258, 218009),
             ("read", "seq", "gc"): (599, 205185),
             ("read", "seq", "merge"): (975, 137039),
-            ("read", "seq", "scan"): (1676, 224315),
+            ("read", "seq", "scan"): (1667, 221996),
             ("read", "seq", "scan_merge"): (885, 127711),
             ("read", "seq", "split"): (597, 81304),
             ("read", "seq", "table_open"): (1448, 141747),
@@ -166,12 +166,12 @@ EXPECTED: dict = {
             "hash_false_positive_probes": 0,
         },
         "after_load": (0.0033126945495605686, (0, 0, 0, 2488)),
-        "after_scans": (0.047902455825805434, (379, 314626, 191, 4286)),
+        "after_scans": (0.04605549209594703, (379, 314626, 209, 4268)),
         "io": {
-            ("read", "rand", "scan"): (165, 25135),
+            ("read", "rand", "scan"): (142, 21406),
             ("read", "rand", "scan_value"): (379, 314626),
             ("read", "seq", "merge"): (849, 232928),
-            ("read", "seq", "scan"): (1633, 221102),
+            ("read", "seq", "scan"): (1638, 221180),
             ("read", "seq", "scan_merge"): (901, 129535),
             ("read", "seq", "split"): (766, 105702),
             ("read", "seq", "table_open"): (1184, 118176),
@@ -196,13 +196,13 @@ EXPECTED: dict = {
             "hash_false_positive_probes": 0,
         },
         "after_load": (0.003937189579010057, (0, 0, 0, 3015)),
-        "after_scans": (0.04852695085525488, (379, 314626, 191, 4813)),
+        "after_scans": (0.046679987125396505, (379, 314626, 209, 4795)),
         "io": {
-            ("read", "rand", "scan"): (165, 25135),
+            ("read", "rand", "scan"): (142, 21406),
             ("read", "rand", "scan_value"): (379, 314626),
             ("read", "seq", "gc"): (571, 229912),
             ("read", "seq", "merge"): (821, 114453),
-            ("read", "seq", "scan"): (1633, 221102),
+            ("read", "seq", "scan"): (1638, 221180),
             ("read", "seq", "scan_merge"): (901, 129535),
             ("read", "seq", "split"): (766, 105702),
             ("read", "seq", "table_open"): (1462, 142193),
