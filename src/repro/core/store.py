@@ -309,7 +309,8 @@ class UniKV(KVStore):
         for key, kind, value in partition.mem.entries():
             add(key, kind, value)
             add_key(key)
-        meta = self.ctx.load_table(builder.finish())
+        meta = builder.finish()
+        self.ctx.load_tables([meta])
         self.ctx.crash_point("flush:before_commit")
         self.ctx.manifest.append({
             "type": "flush",

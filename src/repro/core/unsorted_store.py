@@ -103,7 +103,8 @@ class UnsortedStore:
         for key, kind, value in merge_sorted(self.all_entry_sources(tag="scan_merge")):
             add(key, kind, value)
             add_key(key)
-        meta = self._ctx.load_table(builder.finish())
+        meta = builder.finish()
+        self._ctx.load_tables([meta])
         old_names = [m.name for m in self.tables.values()]
         return old_names, meta, keys
 
