@@ -15,9 +15,11 @@ default), whose ``columns`` entry explains each field.  Runs go one at a
 time: the benchmark pins its server and clients to their own CPUs.  At the
 end the script prints, per end-to-end metric, each side's median and
 quartiles, the change's median relative to the parent's next to the
-metric's regression ``bound`` from ``BENCHMARK.json``, and the number of
-pairs in which the change was lower.  It exits 1 if any run was not
-``correct`` or had failed operations.
+metric's regression ``bound`` from ``BENCHMARK.json``, the number of
+pairs in which the change was lower, and the verdict of the rule a claimed
+gain must pass: the change lower in at least 9 of 10 pairs, and its median
+lower than the parent's by more than the parent's interquartile spread.
+It exits 1 if any run was not ``correct`` or had failed operations.
 """
 
 from __future__ import annotations
@@ -111,9 +113,10 @@ def summarize(pairs: list[tuple[dict, dict]], bounds: dict[str, float]) -> int:
     correct or had failed operations."""
     for name in METRICS:
         print(name)
-        medians = {}
+        medians, spreads = {}, {}
         for side, index in (("parent", 0), ("change", 1)):
             q1, medians[side], q3 = quartiles([pair[index][name] for pair in pairs])
+            spreads[side] = q3 - q1
             print(f"  {side:6s} median {medians[side]:10.4f}  "
                   f"quartiles {q1:.4f} .. {q3:.4f}")
         relative = medians["change"] / medians["parent"] - 1.0
@@ -121,6 +124,11 @@ def summarize(pairs: list[tuple[dict, dict]], bounds: dict[str, float]) -> int:
               f"(regression bound +{bounds[name]:.0%})")
         wins = sum(change[name] < parent[name] for parent, change in pairs)
         print(f"  change lower in {wins} of {len(pairs)} pairs")
+        gain = medians["parent"] - medians["change"]
+        met = wins >= 0.9 * len(pairs) and gain > spreads["parent"]
+        print(f"  claim rule {'met' if met else 'not met'}: lower in {wins}/{len(pairs)} "
+              f"(needs 9/10), median gain {gain:.4f} vs the parent's "
+              f"interquartile spread {spreads['parent']:.4f}")
     bad = [row for pair in pairs for row in pair
            if not row["correct"] or row["failed"]]
     for row in bad:

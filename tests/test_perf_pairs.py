@@ -88,3 +88,35 @@ def test_bounds_come_from_the_benchmark_declaration(perf_pairs):
     bounds = perf_pairs.load_bounds()
     assert bounds == {m["name"]: m["bound"] for m in declared["end_to_end"]}
     assert set(perf_pairs.METRICS) <= set(bounds)
+
+
+@pytest.mark.parametrize("offsets, verdict", [
+    # lower in 10/10, medians 3.0 apart against the parent's spread of 2.0
+    ([-3.0] * 10, "claim rule met: lower in 10/10"),
+    # lower in 10/10, but the gain (1.5) is inside the parent's spread
+    ([-1.5] * 10, "claim rule not met: lower in 10/10"),
+    # a large gain, but lower in only 8 of 10 pairs
+    ([-3.0] * 8 + [1.0] * 2, "claim rule not met: lower in 8/10"),
+])
+def test_the_claim_rule_needs_nine_of_ten_wins_and_a_gain_beyond_the_spread(
+        perf_pairs, monkeypatch, tmp_path, capsys, offsets, verdict):
+    parent_values = [10.0, 11.0, 12.0, 13.0, 14.0] * 2   # quartiles 11 .. 13
+
+    def run_once(tree, workload, seed, seconds):
+        modelled = parent_values[seed - 7]
+        if tree.name == "change":
+            modelled += offsets[seed - 7]
+        return {"metrics": {"server_cpu_us_per_op": {"value": 60.0},
+                            "modelled_us_per_op": {"value": modelled},
+                            "setup_s": {"value": 1.5}},
+                "correct": True, "failed": 0}
+
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    code, __ = run_main(perf_pairs, tmp_path, pairs=10)
+    assert code == 0
+    out = capsys.readouterr().out
+    modelled = out[out.index("\nmodelled_us_per_op\n"):out.index("\nsetup_s\n")]
+    assert verdict in modelled
+    assert "interquartile spread 2.0000" in modelled
+    # Equal runs are no gain: the unchanged metrics never meet the rule.
+    assert out.count("claim rule met") == verdict.startswith("claim rule met")
