@@ -200,3 +200,67 @@ def test_decoder_one_byte_feed_equals_whole_feed():
     for i in range(len(stream)):
         trickled.extend(decoder.feed(stream[i:i + 1]))
     assert trickled == whole == payloads
+
+
+# -- exact error texts at every truncation point ---------------------------------------
+
+#: a payload and the (kind, width) of each of its fields, in order
+_LAYOUTS = {
+    "put": (protocol.encode_put(b"key", b"value"),
+            [("u8", 1), ("u32", 4), ("bytes", 3), ("u32", 4), ("bytes", 5)]),
+    "scan": (protocol.encode_scan(b"start", 7),
+             [("u8", 1), ("u32", 4), ("bytes", 5), ("u32", 4)]),
+    "batch": (protocol.encode_batch([("put", b"a", b"1"), ("delete", b"bb"),
+                                     ("put", b"c", b"333")]),
+              [("u8", 1), ("u32", 4),
+               ("u8", 1), ("u32", 4), ("bytes", 1), ("u32", 4), ("bytes", 1),
+               ("u8", 1), ("u32", 4), ("bytes", 2),
+               ("u8", 1), ("u32", 4), ("bytes", 1), ("u32", 4), ("bytes", 3)]),
+}
+_TRUNCATED = {"u8": "truncated u8", "u32": "truncated u32",
+              "bytes": "truncated bytes field"}
+
+
+def _truncation_cases():
+    for name, (frame_bytes, layout) in _LAYOUTS.items():
+        payload = payload_of(frame_bytes)
+        assert sum(width for __, width in layout) == len(payload)
+        end = 0
+        for kind, width in layout:
+            for cut in range(end, end + width):
+                yield pytest.param(payload[:cut], _TRUNCATED[kind],
+                                   id=f"{name}-cut{cut}")
+            end += width
+        yield pytest.param(payload + b"x", "1 trailing bytes", id=f"{name}-trailing")
+
+
+@pytest.mark.parametrize("payload, message", [
+    *_truncation_cases(),
+    pytest.param(b"\x09", "unknown opcode: 9 is not a valid Op", id="opcode-9"),
+    pytest.param(b"\x00\x00", "unknown opcode: 0 is not a valid Op", id="opcode-0"),
+    pytest.param(b"\x07\x00", "1 trailing bytes", id="stats-trailing"),
+    pytest.param(b"\x05\x01\x00\x00\x00\x02", "unknown batch op kind 2",
+                 id="batch-kind-2"),
+])
+def test_decode_request_error_text(payload, message):
+    """Every malformed request is answered BAD_REQUEST with this exact text."""
+    with pytest.raises(ProtocolError) as excinfo:
+        protocol.decode_request(payload)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("decode, body, message", [
+    (protocol.decode_response, b"", "truncated u8"),
+    (protocol.decode_response, b"\xee", "unknown status: 238 is not a valid Status"),
+    (protocol.decode_value_body, b"\x03\x00\x00", "truncated u32"),
+    (protocol.decode_value_body, b"\x03\x00\x00\x00ab", "truncated bytes field"),
+    (protocol.decode_value_body, b"\x01\x00\x00\x00abc", "2 trailing bytes"),
+    (protocol.decode_pairs_body, b"\x01\x00\x00", "truncated u32"),
+    (protocol.decode_pairs_body, b"\x01\x00\x00\x00\x01\x00\x00\x00k",
+     "truncated u32"),
+    (protocol.decode_pairs_body, b"\x00\x00\x00\x00z", "1 trailing bytes"),
+])
+def test_response_decoders_error_text(decode, body, message):
+    with pytest.raises(ProtocolError) as excinfo:
+        decode(body)
+    assert str(excinfo.value) == message

@@ -5,13 +5,14 @@ import contextlib
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
 import threading
 
 import pytest
 
-from repro.core import UniKV
+from repro.core import UniKV, UniKVConfig
 from repro.obs import server_view
 from repro.service import protocol
 from repro.service.client import AsyncKVClient, KVClient, RetryPolicy, TransientError
@@ -348,34 +349,171 @@ async def _stop_answers_pipelined():
     drain, not dropped, and only then does the connection close."""
     server = make_sharded_server()
     await server.start()
-    busy, gate = asyncio.Event(), asyncio.Event()
-    respond = server._respond
-
-    async def gated_respond(item, session):
-        busy.set()
-        await gate.wait()
-        return await respond(item, session)
-
-    server._respond = gated_respond
+    # The first write is delayed: the connection is busy with it when the
+    # GET pipelined behind it arrives and when stop() begins.
+    delay_writes(server, 1, 0.3)
     reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-    writer.write(protocol.encode_put(make_key(1), b"first"))
-    await writer.drain()
-    await asyncio.wait_for(busy.wait(), 5)
-    # Pipelined while the server is busy with the first request.
-    writer.write(protocol.encode_get(make_key(1)))
+    writer.write(protocol.encode_put(make_key(1), b"first")
+                 + protocol.encode_get(make_key(1)))
     await writer.drain()
     await asyncio.sleep(0.05)
     stopping = asyncio.create_task(server.stop())
     await asyncio.sleep(0.05)
     assert not stopping.done()
-    gate.set()
     replies = await read_replies(reader, 2)
     assert [protocol.decode_response(r)[0] for r in replies] == [Status.OK] * 2
     assert protocol.decode_value_body(protocol.decode_response(replies[1])[1]) \
         == b"first"
     assert await asyncio.wait_for(reader.read(4096), 5) == b""
     await asyncio.wait_for(stopping, 5)
+    assert server_view(server.metrics.snapshot())["delayed_writes"] == 1
     writer.close()
+
+
+def delay_writes(server, count, pause_s):
+    """Make admission control delay the next ``count`` writes by ``pause_s``
+    (as if their shard had reported a stall), whatever the stores do."""
+    server.slowdown_delay_s = server.max_delay_s = pause_s
+    probe = server._probe_pressure
+    remaining = [count]
+
+    def pressured(shards):
+        if remaining[0] <= 0:
+            return probe(shards)
+        remaining[0] -= 1
+        probe(shards)
+        return None, 1
+
+    server._probe_pressure = pressured
+
+
+async def read_until_eof(reader):
+    decoder = protocol.FrameDecoder()
+    replies = []
+    while data := await asyncio.wait_for(reader.read(65536), 5):
+        replies.extend(decoder.feed(data))
+    assert decoder.pending_bytes() == 0
+    return replies
+
+
+def test_delayed_write_holds_its_connection_but_not_others():
+    asyncio.run(_delayed_write_ordering())
+
+
+async def _delayed_write_ordering():
+    """A request pipelined behind a delayed write waits for it and sees it;
+    another connection is served during the pause."""
+    server = make_sharded_server()
+    await server.start()
+    key, other = make_key(1), make_key(2)
+    async with AsyncKVClient(port=server.port) as client:
+        await client.put(key, b"old")
+        await client.put(other, b"other")
+    delay_writes(server, 1, 0.3)
+    loop = asyncio.get_running_loop()
+    reader_a, writer_a = await asyncio.open_connection("127.0.0.1", server.port)
+    reader_b, writer_b = await asyncio.open_connection("127.0.0.1", server.port)
+    sent = loop.time()
+    writer_a.write(protocol.encode_put(key, b"new") + protocol.encode_get(key))
+    await writer_a.drain()
+    await asyncio.sleep(0.05)
+    writer_b.write(protocol.encode_get(other))
+    [reply_b] = await read_replies(reader_b, 1)
+    answered_b = loop.time() - sent
+    replies_a = await read_replies(reader_a, 2)
+    answered_a = loop.time() - sent
+    assert answered_b < 0.25 < answered_a
+    assert protocol.decode_value_body(protocol.decode_response(reply_b)[1]) == b"other"
+    assert protocol.decode_response(replies_a[0])[0] == Status.OK
+    status, body = protocol.decode_response(replies_a[1])
+    assert (status, protocol.decode_value_body(body)) == (Status.OK, b"new")
+    assert server_view(server.metrics.snapshot())["delayed_writes"] == 1
+    for writer in (writer_a, writer_b):
+        writer.close()
+        await writer.wait_closed()
+    await server.stop()
+
+
+@pytest.mark.parametrize("delayed", [False, True])
+def test_half_close_answers_every_frame_before_closing(delayed):
+    asyncio.run(_half_close(delayed))
+
+
+async def _half_close(delayed):
+    """Frames followed by the client's SHUT_WR are all answered, in order
+    (also behind a delayed write), and only then does the server close."""
+    server = make_sharded_server()
+    await server.start()
+    if delayed:
+        delay_writes(server, 1, 0.1)
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    frames = [protocol.encode_put(make_key(i), b"h%d" % i) for i in range(20)]
+    frames += [protocol.encode_get(make_key(i)) for i in range(20)]
+    writer.write(b"".join(frames))
+    writer.write_eof()
+    replies = await read_until_eof(reader)
+    assert len(replies) == 40
+    assert [protocol.decode_response(r)[0] for r in replies] == [Status.OK] * 40
+    assert [protocol.decode_value_body(protocol.decode_response(r)[1])
+            for r in replies[20:]] == [b"h%d" % i for i in range(20)]
+    writer.close()
+    await server.stop()
+
+
+def server_side_transports(port):
+    """The event loop's transports for connections accepted on ``port``."""
+    loop = asyncio.get_running_loop()
+    return [t for t in list(loop._transports.values())
+            if t is not None and not t.is_closing()
+            and t.get_extra_info("sockname")[1] == port]
+
+
+def test_unread_replies_stay_bounded_then_all_arrive_in_order():
+    asyncio.run(_write_flow_control())
+
+
+async def _write_flow_control():
+    """A client that pipelines scans with large replies and does not read
+    makes the server stop answering, not buffer every reply; once it
+    reads, every reply arrives, in order."""
+    records, requests, count = 300, 300, 100
+    server = make_sharded_server(num_shards=1, config=UniKVConfig())
+    await server.start()
+    async with AsyncKVClient(port=server.port) as client:
+        await client.write_batch([("put", make_key(i), b"v" * 512)
+                                  for i in range(records)])
+    reply_bytes = count * (8 + len(make_key(0)) + 512)
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", server.port))
+    reader, writer = await asyncio.open_connection(sock=sock)
+    peak = 0
+    for i in range(requests):
+        writer.write(protocol.encode_scan(make_key(i % records), count))
+        await asyncio.sleep(0.002)
+        for transport in server_side_transports(server.port):
+            peak = max(peak, transport.get_write_buffer_size())
+    decoder = protocol.FrameDecoder()
+    replies = []
+    while len(replies) < requests:
+        data = await asyncio.wait_for(reader.read(1 << 20), 5)
+        assert data, "server closed before answering"
+        replies.extend(decoder.feed(data))
+    assert len(replies) == requests
+    # Without write flow control the server would have held every unread
+    # reply (about 300 * 54 KB); with it, a few at most.  Asserted once the
+    # replies are read, so a failure does not leave the server blocked.
+    assert peak <= 10 * reply_bytes
+    for i, payload in enumerate(replies):
+        status, body = protocol.decode_response(payload)
+        assert status == Status.OK
+        pairs = protocol.decode_pairs_body(body)
+        assert len(pairs) == min(count, records - i % records)
+        assert pairs[0][0] == make_key(i % records)
+    writer.close()
+    await writer.wait_closed()
+    await server.stop()
 
 
 def test_run_server_lifecycle_in_process(capsys):
