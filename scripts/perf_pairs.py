@@ -9,6 +9,9 @@ Each pair runs ``python3 perfbench/run.py`` once in each source tree with
 the same seed; which side runs first alternates from pair to pair, so a
 drift in the host's speed does not favour either side.  The seeds are
 ``--seed`` to ``--seed + pairs - 1`` and are printed before the first run.
+Before each run the script times a fixed pure-Python loop on the CPU the
+benchmark's server is pinned to, and reads the CPU model, so that rows
+recorded on different hosts or at different host speeds can be compared.
 
 Every run appends one row to the ledger (``BENCH_service.json`` by
 default), whose ``columns`` entry explains each field.  Runs go one at a
@@ -19,16 +22,19 @@ metric's regression ``bound`` from ``BENCHMARK.json``, the number of
 pairs in which the change was lower, and the verdict of the rule a claimed
 gain must pass: the change lower in at least 9 of 10 pairs, and its median
 lower than the parent's by more than the parent's interquartile spread.
-It exits 1 if any run was not ``correct`` or had failed operations.
+Beside the raw server CPU medians it prints them normalised by the
+calibration loop.  It exits 1 if any run was not ``correct`` or had failed operations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,7 +57,50 @@ COLUMNS = {
     "correct": "every reply and read-back matched the benchmark's model and "
                "the server shut down cleanly",
     "failed": "operations that failed in the window",
+    "calibration_us": "CPU microseconds of a fixed pure-Python loop timed just "
+                      "before the run on the server's CPU, best of five: the "
+                      "host's speed at the time",
+    "cpu_model": "the host CPU's model name from /proc/cpuinfo, null if unknown",
 }
+#: iterations of the calibration loop (a few tens of milliseconds of CPU)
+CALIBRATION_LOOPS = 100_000
+
+
+def _calibration_loop(loops: int) -> int:
+    table: dict[int, int] = {}
+    total = 0
+    for i in range(loops):
+        slot = i & 1023
+        table[slot] = table.get(slot, 0) + i
+        total += len(b"%d" % i)
+    return total
+
+
+def calibrate(loops: int = CALIBRATION_LOOPS) -> float:
+    """CPU microseconds of the calibration loop, best of five, run on the
+    CPU perfbench pins its server to (the lowest one this process may use)."""
+    affinity = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(affinity)})
+    try:
+        best = float("inf")
+        for __ in range(5):
+            start = time.thread_time()
+            _calibration_loop(loops)
+            best = min(best, time.thread_time() - start)
+    finally:
+        os.sched_setaffinity(0, affinity)
+    return best * 1e6
+
+
+def cpu_model() -> str | None:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
 
 
 def commit_of(tree: Path) -> str | None:
@@ -119,6 +168,8 @@ def summarize(pairs: list[tuple[dict, dict]], bounds: dict[str, float]) -> int:
             spreads[side] = q3 - q1
             print(f"  {side:6s} median {medians[side]:10.4f}  "
                   f"quartiles {q1:.4f} .. {q3:.4f}")
+        if name == "server_cpu_us_per_op":
+            print_normalised(pairs, name)
         relative = medians["change"] / medians["parent"] - 1.0
         print(f"  change median {relative:+.1%} of the parent's "
               f"(regression bound +{bounds[name]:.0%})")
@@ -135,6 +186,21 @@ def summarize(pairs: list[tuple[dict, dict]], bounds: dict[str, float]) -> int:
         print(f"FAILED RUN: seed {row['seed']} {row['side']} correct "
               f"{row['correct']} failed {row['failed']}")
     return len(bad)
+
+
+def print_normalised(pairs: list[tuple[dict, dict]], name: str) -> None:
+    """``name``'s medians with each run scaled by the host speed its
+    calibration read: ``value * reference / calibration_us``, where the
+    reference is the median calibration of all the runs."""
+    reference = statistics.median(row["calibration_us"] for pair in pairs for row in pair)
+    scaled = [tuple(row[name] * reference / row["calibration_us"] for row in pair)
+              for pair in pairs]
+    parent = statistics.median(pair[0] for pair in scaled)
+    change = statistics.median(pair[1] for pair in scaled)
+    wins = sum(change_value < parent_value for parent_value, change_value in scaled)
+    print(f"  normalised by the calibration loop ({reference:.0f} us): parent median "
+          f"{parent:.4f}, change median {change:.4f} ({change / parent - 1.0:+.1%}), "
+          f"change lower in {wins} of {len(pairs)} pairs")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -168,17 +234,20 @@ def main(argv: list[str] | None = None) -> int:
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         rows = {}
         for side in order:
+            calibration = calibrate()
             result = run_once(trees[side], args.workload, seed, args.seconds)
             row = {"pr": args.pr, "commit": commits[side], "side": side,
                    "workload": args.workload, "seed": seed, "seconds": args.seconds}
             row.update({name: result["metrics"][name]["value"] for name in METRICS})
-            row.update(correct=result["correct"], failed=result["failed"])
+            row.update(correct=result["correct"], failed=result["failed"],
+                       calibration_us=calibration, cpu_model=cpu_model())
             rows[side] = row
             ledger["rows"].append(row)
             save_ledger(args.ledger, ledger)
             print(f"  seed {seed} {side:6s} "
                   + " ".join(f"{name} {row[name]:.4f}" for name in METRICS)
-                  + f" correct {row['correct']} failed {row['failed']}", flush=True)
+                  + f" correct {row['correct']} failed {row['failed']}"
+                  + f" calibration_us {calibration:.0f}", flush=True)
         pairs.append((rows["parent"], rows["change"]))
     return 1 if summarize(pairs, load_bounds()) else 0
 

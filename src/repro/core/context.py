@@ -29,6 +29,11 @@ class StoreContext:
         self.manifest = manifest
         #: every count the store keeps (repro.obs); never performs I/O
         self.metrics = MetricsRegistry()
+        #: ``unikv_op_seconds`` by op, and a GET's by the path that answered
+        #: it (handles bound once; series appear on first use)
+        self.op_seconds = self.metrics.histogram_family("unikv_op_seconds", "op")
+        self.get_seconds = self.metrics.histogram_family(
+            "unikv_op_seconds", "path", op="get")
         self.cache = BlockCache(config.block_cache_bytes, metrics=self.metrics)
         self.next_table = 0
         self.next_log = 0

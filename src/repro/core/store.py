@@ -119,8 +119,7 @@ class UniKV(KVStore):
         partition.mem.put(key, value)
         self._maybe_flush(partition)
         if timed:
-            metrics.histogram("unikv_op_seconds", op="put").record(
-                metrics.clock() - start)
+            self.ctx.op_seconds["put"].record(metrics.clock() - start)
 
     def delete(self, key: bytes) -> None:
         self._check_open()
@@ -132,8 +131,7 @@ class UniKV(KVStore):
         partition.mem.delete(key)
         self._maybe_flush(partition)
         if timed:
-            metrics.histogram("unikv_op_seconds", op="delete").record(
-                metrics.clock() - start)
+            self.ctx.op_seconds["delete"].record(metrics.clock() - start)
 
     def write_batch(self, ops: list[tuple]) -> None:
         """Apply a batch of ``("put", key, value)`` / ``("delete", key)``.
@@ -171,8 +169,7 @@ class UniKV(KVStore):
             if partition in self.partitions:
                 self._maybe_flush(partition)
         if timed:
-            metrics.histogram("unikv_op_seconds", op="batch").record(
-                metrics.clock() - start)
+            self.ctx.op_seconds["batch"].record(metrics.clock() - start)
 
     def get(self, key: bytes) -> bytes | None:
         if not self.config.metrics_enabled:
@@ -181,11 +178,11 @@ class UniKV(KVStore):
         # layer answered: the UnsortedStore hash-hit path vs the
         # KV-separated SortedStore path (the paper's differentiated
         # lookup is exactly this latency asymmetry).
-        metrics = self.ctx.metrics
-        start = metrics.clock()
+        ctx = self.ctx
+        clock = ctx.metrics.clock
+        start = clock()
         value, path = self._partition_for(key).get_with_path(key)
-        metrics.histogram("unikv_op_seconds", op="get", path=path).record(
-            metrics.clock() - start)
+        ctx.get_seconds[path].record(clock() - start)
         return value
 
     def scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:
@@ -204,8 +201,7 @@ class UniKV(KVStore):
         metrics = self.ctx.metrics
         span_start = metrics.clock()
         out = self._scan(start, count)
-        metrics.histogram("unikv_op_seconds", op="scan").record(
-            metrics.clock() - span_start)
+        self.ctx.op_seconds["scan"].record(metrics.clock() - span_start)
         return out
 
     def _scan(self, start: bytes, count: int) -> list[tuple[bytes, bytes]]:

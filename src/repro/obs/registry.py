@@ -70,6 +70,25 @@ class Gauge:
         self.value -= n
 
 
+class HistogramFamily(dict):
+    """One histogram per value of one label: ``family[value]``.
+
+    A series is created on first use, through the registry, so a snapshot
+    lists exactly the series that were recorded; after that, a lookup is
+    a plain dict subscript with no label key to build.
+    """
+
+    __slots__ = ("_create",)
+
+    def __init__(self, create: Callable[[str], LogHistogram]) -> None:
+        super().__init__()
+        self._create = create
+
+    def __missing__(self, value: str) -> LogHistogram:
+        hist = self[value] = self._create(value)
+        return hist
+
+
 class MetricsRegistry:
     """Names + labels -> live metric objects, with snapshot/merge/export."""
 
@@ -108,6 +127,13 @@ class MetricsRegistry:
         if metric is None:
             metric = self._histograms[key] = LogHistogram(relative_error)
         return metric
+
+    def histogram_family(self, name: str, label: str,
+                         **labels: str) -> HistogramFamily:
+        """The ``name`` histograms with ``labels`` plus ``label``, one per
+        value of ``label``, bound once by a hot path that records often."""
+        return HistogramFamily(
+            lambda value: self.histogram(name, **labels, **{label: value}))
 
     # -- snapshot -----------------------------------------------------------------------
 

@@ -27,6 +27,8 @@ from repro.service.protocol import MAX_FRAME_BYTES, FrameTooLarge, Op, ProtocolE
 from repro.service.router import ShardPressure, ShardRouter
 
 _U32 = struct.Struct("<I")
+#: each op's ``server_request_seconds`` label
+_OP_LABELS = {op: op.name.lower() for op in Op}
 
 
 @dataclass
@@ -78,6 +80,7 @@ class RequestHandler:
         #: the part of ``errors`` answered RETRY because a shard device crashed
         self._crashed_rejections = metrics.counter("server_crashed_rejections_total")
         self._inflight_high_water = metrics.gauge("server_inflight_requests_high_water")
+        self._request_seconds = metrics.histogram_family("server_request_seconds", "op")
         #: per-shard stall_events watermark from the last write admission
         self._stall_marks: dict[int, int] = {}
         self._inflight = 0
@@ -123,8 +126,7 @@ class RequestHandler:
 
     def _finish(self, op_name: str, start: float, response: bytes) -> bytes:
         self._inflight -= 1
-        self.metrics.histogram("server_request_seconds", op=op_name).record(
-            self.metrics.clock() - start)
+        self._request_seconds[op_name].record(self.metrics.clock() - start)
         return response
 
     def _dispatch(self, item: bytes | FrameTooLarge,
@@ -143,13 +145,12 @@ class RequestHandler:
             self._bad_requests.inc()
             return "invalid", protocol.encode_response(
                 Status.BAD_REQUEST, str(exc).encode())
-        return request.op.name.lower(), self._guarded(
-            lambda: self._execute(request, session))
+        return _OP_LABELS[request.op], self._guarded(self._execute, request, session)
 
-    def _guarded(self, run: Callable[[], bytes | Delayed]) -> bytes | Delayed:
-        """``run()``, with a store failure turned into an error response."""
+    def _guarded(self, run: Callable[..., bytes | Delayed], *args) -> bytes | Delayed:
+        """``run(*args)``, with a store failure turned into an error response."""
         try:
-            return run()
+            return run(*args)
         except DiskCrashed as exc:
             # A shard's device failed mid-operation.  That's transient from
             # the client's point of view — the operator (or chaos harness)
@@ -168,16 +169,16 @@ class RequestHandler:
                  session: Session) -> bytes | Delayed:
         router = self.router
         op = request.op
-        if op == Op.PING:
-            return protocol.encode_response(
-                Status.OK, protocol.encode_value_body(request.key))
-        if op == Op.GET:
+        if op is Op.GET:
             value = router.get(request.key)
             if value is None:
                 return protocol.encode_response(Status.NOT_FOUND)
             return protocol.encode_response(
                 Status.OK, protocol.encode_value_body(value))
-        if op == Op.SCAN:
+        if op is Op.PING:
+            return protocol.encode_response(
+                Status.OK, protocol.encode_value_body(request.key))
+        if op is Op.SCAN:
             pairs = router.scan(request.key, min(request.count, self.max_scan_items))
             body = protocol.encode_pairs_body(pairs)
             if 1 + len(body) > self.max_frame_bytes:
@@ -191,14 +192,14 @@ class RequestHandler:
                         % (len(pairs[0][0]) + len(pairs[0][1]), self.max_frame_bytes))
                 body = protocol.encode_pairs_body(pairs[:fit])
             return protocol.encode_response(Status.OK, body)
-        if op == Op.STATS:
+        if op is Op.STATS:
             return protocol.encode_response(
                 Status.OK, protocol.encode_json_body(self.stats_payload()))
-        if op == Op.DESCRIBE:
+        if op is Op.DESCRIBE:
             return protocol.encode_response(
                 Status.OK, protocol.encode_json_body(router.describe()))
         # -- writes (PUT, DELETE, BATCH): admission control first -------------------
-        if op == Op.BATCH:
+        if op is Op.BATCH:
             shards = sorted(router.split_batch(request.ops))
         else:
             shards = [router.shard_index(request.key)]

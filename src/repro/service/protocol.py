@@ -78,7 +78,7 @@ class FrameTooLarge:
     declared_size: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One decoded request."""
 
@@ -97,38 +97,24 @@ def _pack_bytes(data: bytes) -> bytes:
     return _U32.pack(len(data)) + data
 
 
-class _BodyReader:
-    """Sequential reader over one payload; every read is bounds-checked."""
+def _u32_at(buf: bytes, pos: int) -> int:
+    """The ``u32`` at ``pos``; with :func:`_field`, the decoders' only reads."""
+    if pos + 4 > len(buf):
+        raise ProtocolError("truncated u32")
+    return _U32.unpack_from(buf, pos)[0]
 
-    def __init__(self, buf: bytes, offset: int = 0) -> None:
-        self._buf = buf
-        self._pos = offset
 
-    def u8(self) -> int:
-        if self._pos + 1 > len(self._buf):
-            raise ProtocolError("truncated u8")
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
+def _field(buf: bytes, pos: int) -> tuple[bytes, int]:
+    """The length-prefixed byte string at ``pos`` and the offset after it."""
+    end = pos + 4 + _u32_at(buf, pos)
+    if end > len(buf):
+        raise ProtocolError("truncated bytes field")
+    return buf[pos + 4:end], end
 
-    def u32(self) -> int:
-        if self._pos + 4 > len(self._buf):
-            raise ProtocolError("truncated u32")
-        (value,) = _U32.unpack_from(self._buf, self._pos)
-        self._pos += 4
-        return value
 
-    def bytes_field(self) -> bytes:
-        length = self.u32()
-        if self._pos + length > len(self._buf):
-            raise ProtocolError("truncated bytes field")
-        value = self._buf[self._pos:self._pos + length]
-        self._pos += length
-        return bytes(value)
-
-    def expect_end(self) -> None:
-        if self._pos != len(self._buf):
-            raise ProtocolError(f"{len(self._buf) - self._pos} trailing bytes")
+def _expect_end(buf: bytes, pos: int) -> None:
+    if pos != len(buf):
+        raise ProtocolError(f"{len(buf) - pos} trailing bytes")
 
 
 def frame(payload: bytes) -> bytes:
@@ -180,34 +166,46 @@ def encode_describe() -> bytes:
     return frame(bytes([Op.DESCRIBE]))
 
 
+_OPS = {int(op): op for op in Op}
+
+
 def decode_request(payload: bytes) -> Request:
     """Parse one request payload (the bytes inside a frame)."""
-    reader = _BodyReader(payload)
-    try:
-        op = Op(reader.u8())
-    except ValueError as exc:
-        raise ProtocolError(f"unknown opcode: {exc}") from None
-    req = Request(op=op)
-    if op in (Op.PING, Op.GET, Op.DELETE):
-        req.key = reader.bytes_field()
-    elif op == Op.PUT:
-        req.key = reader.bytes_field()
-        req.value = reader.bytes_field()
-    elif op == Op.SCAN:
-        req.key = reader.bytes_field()
-        req.count = reader.u32()
-    elif op == Op.BATCH:
-        for __ in range(reader.u32()):
-            kind = reader.u8()
+    if not payload:
+        raise ProtocolError("truncated u8")
+    op = _OPS.get(payload[0])
+    if op is None:
+        raise ProtocolError(f"unknown opcode: {payload[0]} is not a valid Op")
+    if op is Op.GET or op is Op.PING or op is Op.DELETE:
+        key, pos = _field(payload, 1)
+        request = Request(op, key)
+    elif op is Op.PUT:
+        key, pos = _field(payload, 1)
+        value, pos = _field(payload, pos)
+        request = Request(op, key, value)
+    elif op is Op.SCAN:
+        key, pos = _field(payload, 1)
+        request = Request(op, key, count=_u32_at(payload, pos))
+        pos += 4
+    elif op is Op.BATCH:
+        request, pos = Request(op), 5
+        for __ in range(_u32_at(payload, 1)):
+            if pos >= len(payload):
+                raise ProtocolError("truncated u8")
+            kind = payload[pos]
             if kind == 0:
-                req.ops.append(("put", reader.bytes_field(), reader.bytes_field()))
+                key, pos = _field(payload, pos + 1)
+                value, pos = _field(payload, pos)
+                request.ops.append(("put", key, value))
             elif kind == 1:
-                req.ops.append(("delete", reader.bytes_field()))
+                key, pos = _field(payload, pos + 1)
+                request.ops.append(("delete", key))
             else:
                 raise ProtocolError(f"unknown batch op kind {kind}")
-    # STATS / DESCRIBE carry no body.
-    reader.expect_end()
-    return req
+    else:  # STATS / DESCRIBE carry no body
+        request, pos = Request(op), 1
+    _expect_end(payload, pos)
+    return request
 
 
 # -- responses -------------------------------------------------------------------------
@@ -218,9 +216,10 @@ def encode_response(status: Status, body: bytes = b"") -> bytes:
 
 
 def decode_response(payload: bytes) -> tuple[Status, bytes]:
-    reader = _BodyReader(payload)
+    if not payload:
+        raise ProtocolError("truncated u8")
     try:
-        status = Status(reader.u8())
+        status = Status(payload[0])
     except ValueError as exc:
         raise ProtocolError(f"unknown status: {exc}") from None
     return status, payload[1:]
@@ -231,9 +230,8 @@ def encode_value_body(value: bytes) -> bytes:
 
 
 def decode_value_body(body: bytes) -> bytes:
-    reader = _BodyReader(body)
-    value = reader.bytes_field()
-    reader.expect_end()
+    value, pos = _field(body, 0)
+    _expect_end(body, pos)
     return value
 
 
@@ -246,10 +244,12 @@ def encode_pairs_body(pairs: list[tuple[bytes, bytes]]) -> bytes:
 
 
 def decode_pairs_body(body: bytes) -> list[tuple[bytes, bytes]]:
-    reader = _BodyReader(body)
-    pairs = [(reader.bytes_field(), reader.bytes_field())
-             for __ in range(reader.u32())]
-    reader.expect_end()
+    pairs, pos = [], 4
+    for __ in range(_u32_at(body, 0)):
+        key, pos = _field(body, pos)
+        value, pos = _field(body, pos)
+        pairs.append((key, value))
+    _expect_end(body, pos)
     return pairs
 
 

@@ -8,16 +8,31 @@ back in arrival order — the ordering contract pipelining clients rely on.
 :class:`KVServer` *is* a request handler: decode, admission control,
 execute, encode, error mapping and metrics are the inherited synchronous
 :meth:`RequestHandler.handle`, the code the chaos simulator drives too.
-This module adds framing, draining and sleeping out a delayed write's
-pause before applying it.  No lock is needed: the handler never awaits,
-so each store operation runs to completion on the one event loop.
+This module adds framing, flow control, draining and a delayed write's
+pause.  No lock is needed: the handler never awaits, so each store
+operation runs to completion on the one event loop.
 
-**Graceful drain.**  :meth:`KVServer.stop` closes the listening socket,
-then stops reading every connection and wakes its pending read with
-``feed_eof()``: the read loop answers the requests already received (a
-busy connection finishes its batch, bytes already buffered are still
-decoded), flushes the responses, sees EOF and leaves; an idle connection
-leaves at once.  Then the shards close via :meth:`ShardRouter.close`.
+**Connections.**  Each connection is an :class:`asyncio.Protocol`
+(:class:`_Connection`), not a task over streams.  ``data_received``
+appends the frames it completed to the connection's FIFO and answers
+them, in order, inside the callback: one event-loop callback per read,
+no future or task wake-up per request.  Answering stops, and reading
+pauses, while
+
+* a :class:`~repro.service.handler.Delayed` write sleeps out its pause:
+  ``loop.call_later`` applies it, writes its reply and answers the frames
+  queued behind it.  It is applied even if the connection closed during
+  the pause, since admission already accepted it;
+* the transport's write buffer is above its high-water mark
+  (``pause_writing``/``resume_writing``), so a client that pipelines
+  without reading holds the server to about one buffer of replies.
+
+**Graceful drain.**  EOF from the client and :meth:`KVServer.stop` both
+*finish* a connection: it reads no more, answers every frame already
+received (after a pending delayed write, if any), flushes and closes.
+``stop()`` closes the listening socket, finishes every connection, waits
+until each has closed and its delayed write is applied, then closes the
+shards via :meth:`ShardRouter.close`.
 """
 
 from __future__ import annotations
@@ -25,6 +40,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import signal
+from collections import deque
 
 from repro.core.config import UniKVConfig
 from repro.obs import server_view
@@ -54,16 +70,16 @@ class KVServer(RequestHandler):
         self.port = port
         self.close_router_on_stop = close_router_on_stop
         self._server: asyncio.AbstractServer | None = None
-        #: live connection tasks and their streams, awaited by drain
-        self._connections: dict[asyncio.Task, tuple[asyncio.StreamReader,
-                                                    asyncio.StreamWriter]] = {}
+        #: live connections; stop() waits for each one's ``done``
+        self._connections: set[_Connection] = set()
         self._stopped = False
 
     # -- lifecycle --------------------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
@@ -75,74 +91,147 @@ class KVServer(RequestHandler):
         if self._server is not None:
             self._server.close()
         # Before wait_closed: from Python 3.12.1 it also waits for every
-        # accepted connection to close, which an idle one only does once
-        # it reads EOF.  Tasks that start later drain themselves.
-        for reader, writer in self._connections.values():
-            _stop_reading(reader, writer)
+        # accepted connection to close.  Connections made later finish
+        # themselves.
+        for conn in list(self._connections):
+            conn.finish()
         if self._server is not None:
             await self._server.wait_closed()
-        tasks = list(self._connections)
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        if self._connections:
+            await asyncio.gather(*(conn.done for conn in self._connections))
         if self.close_router_on_stop and not self.router.closed:
             self.router.close()
 
-    # -- connection handling ----------------------------------------------------------
-
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._connections[task] = (reader, writer)
-        if self._stopped:
-            _stop_reading(reader, writer)
-        session = Session()
-        self._connections_total.inc()
-        decoder = FrameDecoder(self.max_frame_bytes)
-        try:
-            while True:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    break
-                if self._stopped:
-                    # A reader that paused on a full buffer resumes the
-                    # transport as it drains; data arriving after feed_eof
-                    # would fail the stream's assertion.
-                    writer.transport.pause_reading()
-                for item in decoder.feed(data):
-                    writer.write(await self._respond(item, session))
-                await writer.drain()
-        except ConnectionError:
-            pass
-        except asyncio.CancelledError:
-            # Loop teardown (e.g. a failing test harness) — exit quietly;
-            # graceful drain goes through feed_eof, not cancellation.
-            pass
-        finally:
-            # Stay registered until the socket is closed, so stop() waits
-            # for the close instead of leaving it to the loop's teardown,
-            # which would cancel it mid-wait and log the cancellation.
-            with contextlib.suppress(ConnectionError, OSError):
-                writer.close()
-                await writer.wait_closed()
-            del self._connections[task]
-
     async def _respond(self, item: bytes | FrameTooLarge,
-                       session: Session) -> bytes:
-        reply = self.handle(item, session)
-        if isinstance(reply, Delayed):
-            # Admission control wants a pause: yield the event loop to
-            # other connections, then apply the write.
-            await asyncio.sleep(reply.pause_s)
-            reply = reply.apply()
-        return reply
+                       session: Session) -> bytes | Delayed:
+        """The reply to one frame, or the :class:`Delayed` write the
+        connection applies after its pause.
+
+        A coroutine that never awaits: the connection runs it to completion
+        with one ``send(None)`` (:func:`_result`).  It stays a coroutine so
+        that wrapping it in an ``async`` span timer, as
+        ``perfbench/traced_server.py`` does to time the server layer,
+        keeps working.
+        """
+        return self.handle(item, session)
 
 
-def _stop_reading(reader: asyncio.StreamReader,
-                  writer: asyncio.StreamWriter) -> None:
-    """Drain one connection: no more socket reads, and a pending (or the
-    next) ``reader.read`` returns what is buffered, then EOF."""
-    writer.transport.pause_reading()
-    reader.feed_eof()
+def _result(coro):
+    """The value of a coroutine that must finish without suspending."""
+    try:
+        coro.send(None)
+    except StopIteration as finished:
+        return finished.value
+    coro.close()
+    raise RuntimeError("KVServer._respond suspended; it must answer without awaiting")
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames in, replies out, in arrival order."""
+
+    def __init__(self, server: KVServer) -> None:
+        self._server = server
+        self._respond = server._respond
+        self._session = Session()
+        self._decoder = FrameDecoder(server.max_frame_bytes)
+        self.transport: asyncio.Transport | None = None
+        #: frames received and not yet answered, in arrival order
+        self._pending: deque[bytes | FrameTooLarge] = deque()
+        #: a delayed write is sleeping out its pause
+        self._delayed = False
+        #: the transport's write buffer is above its high-water mark
+        self._write_paused = False
+        #: reading is paused (by a delayed write, flow control or finish)
+        self._held = False
+        #: no more input: close once the pending frames are answered
+        self._finishing = False
+        self._lost = False
+        #: resolved once the connection has closed and no delayed write is
+        #: left to apply
+        self.done = asyncio.get_running_loop().create_future()
+
+    # -- asyncio.Protocol callbacks ----------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        server = self._server
+        server._connections.add(self)
+        server._connections_total.inc()
+        if server._stopped:
+            self.finish()
+
+    def data_received(self, data: bytes) -> None:
+        self._pending.extend(self._decoder.feed(data))
+        self._answer()
+
+    def eof_received(self) -> bool:
+        self.finish()
+        return True  # half-closed: the replies still owed go out first
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._hold()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._answer()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._lost = True
+        self._pending.clear()
+        self._settle()
+
+    # -- request flow ------------------------------------------------------------------
+
+    def finish(self) -> None:
+        """Read no more; answer the frames already received, then close."""
+        self._finishing = True
+        self._hold()
+        self._answer()
+
+    def _answer(self) -> None:
+        """Answer pending frames in order until one is delayed or the
+        write buffer fills; then resume reading, or close if finishing."""
+        pending = self._pending
+        respond, session = self._respond, self._session
+        write = self.transport.write
+        while pending and not (self._delayed or self._write_paused):
+            reply = _result(respond(pending.popleft(), session))
+            if isinstance(reply, Delayed):
+                self._delayed = True
+                self._hold()
+                asyncio.get_running_loop().call_later(
+                    reply.pause_s, self._apply, reply)
+                return
+            write(reply)
+        if self._delayed or self._write_paused or self._lost:
+            return
+        if self._finishing:
+            self.transport.close()
+        elif self._held:
+            self._held = False
+            self.transport.resume_reading()
+
+    def _apply(self, delayed: Delayed) -> None:
+        # Admission accepted the write: apply it even if the connection
+        # closed during the pause.
+        reply = delayed.apply()
+        self._delayed = False
+        if self._lost:
+            self._settle()
+        else:
+            self.transport.write(reply)
+            self._answer()
+
+    def _hold(self) -> None:
+        if not self._held:
+            self._held = True
+            self.transport.pause_reading()
+
+    def _settle(self) -> None:
+        if self._lost and not self._delayed and not self.done.done():
+            self._server._connections.discard(self)
+            self.done.set_result(None)
 
 
 async def _periodic_stats_dump(server: KVServer, interval: float) -> None:

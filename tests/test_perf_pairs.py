@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,19 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "perf_pairs.py"
 
 
-@pytest.fixture
-def perf_pairs():
+def load_script():
     spec = importlib.util.spec_from_file_location("perf_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def perf_pairs(monkeypatch):
+    """The script, with a calibration that reads 100 us unless a test
+    stubs it otherwise."""
+    module = load_script()
+    monkeypatch.setattr(module, "calibrate", lambda: 100.0)
     return module
 
 
@@ -120,3 +129,45 @@ def test_the_claim_rule_needs_nine_of_ten_wins_and_a_gain_beyond_the_spread(
     assert "interquartile spread 2.0000" in modelled
     # Equal runs are no gain: the unchanged metrics never meet the rule.
     assert out.count("claim rule met") == verdict.startswith("claim rule met")
+
+
+def test_rows_carry_the_calibration_and_cpu_usage_is_printed_normalised(
+        perf_pairs, monkeypatch, tmp_path, capsys):
+    """The change's runs meet a host half as fast: raw server CPU per op
+    rises by half, normalised it falls by a quarter."""
+    calls = stub_runs(perf_pairs, monkeypatch,
+                      {"parent": (8.0, True, 0), "change": (8.0, True, 0)})
+    cpu = {"parent": 60.0, "change": 90.0}
+    calibration = {"parent": 100.0, "change": 200.0}
+    stubbed_run = perf_pairs.run_once
+
+    def run_once(tree, workload, seed, seconds):
+        result = stubbed_run(tree, workload, seed, seconds)
+        result["metrics"]["server_cpu_us_per_op"]["value"] = cpu[tree.name]
+        return result
+
+    # Runs go parent, change, change, parent, parent, change (alternating).
+    order = iter(["parent", "change", "change", "parent", "parent", "change"])
+    monkeypatch.setattr(perf_pairs, "calibrate", lambda: calibration[next(order)])
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    monkeypatch.setattr(perf_pairs, "cpu_model", lambda: "Test CPU @ 1 GHz")
+    code, ledger = run_main(perf_pairs, tmp_path)
+    assert code == 0 and len(calls) == 6
+    for row in ledger["rows"]:
+        assert row["calibration_us"] == calibration[row["side"]]
+        assert row["cpu_model"] == "Test CPU @ 1 GHz"
+    out = capsys.readouterr().out
+    cpu_section = out[out.index("server_cpu_us_per_op\n"):out.index("\nmodelled_us_per_op\n")]
+    assert "change median +50.0% of the parent's" in cpu_section
+    # reference calibration 150 us: parent 60 * 1.5 = 90, change 90 * 0.75
+    assert ("normalised by the calibration loop (150 us): parent median 90.0000, "
+            "change median 67.5000 (-25.0%), change lower in 3 of 3 pairs") in cpu_section
+
+
+def test_calibration_times_the_loop_and_keeps_the_affinity():
+    module = load_script()
+    before = os.sched_getaffinity(0)
+    assert module.calibrate(loops=2000) > 0
+    assert os.sched_getaffinity(0) == before
+    model = module.cpu_model()
+    assert model is None or (isinstance(model, str) and model)

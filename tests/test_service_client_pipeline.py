@@ -68,8 +68,8 @@ async def _after_drop():
         assert await client.get(make_key(0)) == value(0)
         for __ in range(TRIALS):
             before = connections(server)
-            for __, writer in list(server._connections.values()):
-                writer.transport.abort()  # the server drops the connection
+            for conn in list(server._connections):
+                conn.transport.abort()  # the server drops the connection
             values = await asyncio.gather(*(client.get(make_key(i)) for i in range(KEYS)))
             assert values == [value(i) for i in range(KEYS)]
             assert connections(server) == before + 1
