@@ -16,8 +16,7 @@ operation runs to completion on the one event loop.
 (:class:`_Connection`), not a task over streams.  ``data_received``
 appends the frames it completed to the connection's FIFO and answers
 them, in order, inside the callback: one event-loop callback per read,
-no future or task wake-up per request.  Answering stops, and reading
-pauses, while
+no future or task wake-up per request.  Answering stalls while
 
 * a :class:`~repro.service.handler.Delayed` write sleeps out its pause:
   ``loop.call_later`` applies it, writes its reply and answers the frames
@@ -27,9 +26,14 @@ pauses, while
   (``pause_writing``/``resume_writing``), so a client that pipelines
   without reading holds the server to about one buffer of replies.
 
+While answering stalls the connection keeps reading into its FIFO, as a
+stream reader would, and pauses reading only once more than
+:data:`READ_BACKLOG_BYTES` have arrived in the stall.
+
 **Graceful drain.**  EOF from the client and :meth:`KVServer.stop` both
 *finish* a connection: it reads no more, answers every frame already
-received (after a pending delayed write, if any), flushes and closes.
+received, including those that arrived during a delayed write's pause
+(after that write), flushes and closes.
 ``stop()`` closes the listening socket, finishes every connection, waits
 until each has closed and its delayed write is applied, then closes the
 shards via :meth:`ShardRouter.close`.
@@ -48,6 +52,10 @@ from repro.obs.render import render_periodic_dump
 from repro.service.handler import Delayed, RequestHandler, Session
 from repro.service.protocol import MAX_FRAME_BYTES, FrameDecoder, FrameTooLarge
 from repro.service.router import ShardRouter
+
+#: bytes a connection reads while answering stalls before it pauses
+#: reading: twice the 64 KiB limit at which a stream reader pauses
+READ_BACKLOG_BYTES = 2 * 64 * 1024
 
 
 class KVServer(RequestHandler):
@@ -141,8 +149,8 @@ class _Connection(asyncio.Protocol):
         self._delayed = False
         #: the transport's write buffer is above its high-water mark
         self._write_paused = False
-        #: reading is paused (by a delayed write, flow control or finish)
-        self._held = False
+        #: bytes received since answering last stalled
+        self._backlog = 0
         #: no more input: close once the pending frames are answered
         self._finishing = False
         self._lost = False
@@ -162,7 +170,12 @@ class _Connection(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         self._pending.extend(self._decoder.feed(data))
-        self._answer()
+        if self._delayed or self._write_paused:
+            self._backlog += len(data)
+            if self._backlog > READ_BACKLOG_BYTES:
+                self.transport.pause_reading()
+        else:
+            self._answer()
 
     def eof_received(self) -> bool:
         self.finish()
@@ -170,7 +183,6 @@ class _Connection(asyncio.Protocol):
 
     def pause_writing(self) -> None:
         self._write_paused = True
-        self._hold()
 
     def resume_writing(self) -> None:
         self._write_paused = False
@@ -186,12 +198,13 @@ class _Connection(asyncio.Protocol):
     def finish(self) -> None:
         """Read no more; answer the frames already received, then close."""
         self._finishing = True
-        self._hold()
+        self.transport.pause_reading()
         self._answer()
 
     def _answer(self) -> None:
         """Answer pending frames in order until one is delayed or the
-        write buffer fills; then resume reading, or close if finishing."""
+        write buffer fills; once all are answered, resume reading, or
+        close if finishing."""
         pending = self._pending
         respond, session = self._respond, self._session
         write = self.transport.write
@@ -199,17 +212,16 @@ class _Connection(asyncio.Protocol):
             reply = _result(respond(pending.popleft(), session))
             if isinstance(reply, Delayed):
                 self._delayed = True
-                self._hold()
                 asyncio.get_running_loop().call_later(
                     reply.pause_s, self._apply, reply)
                 return
             write(reply)
         if self._delayed or self._write_paused or self._lost:
             return
+        self._backlog = 0
         if self._finishing:
             self.transport.close()
-        elif self._held:
-            self._held = False
+        else:
             self.transport.resume_reading()
 
     def _apply(self, delayed: Delayed) -> None:
@@ -222,11 +234,6 @@ class _Connection(asyncio.Protocol):
         else:
             self.transport.write(reply)
             self._answer()
-
-    def _hold(self) -> None:
-        if not self._held:
-            self._held = True
-            self.transport.pause_reading()
 
     def _settle(self) -> None:
         if self._lost and not self._delayed and not self.done.done():

@@ -350,11 +350,15 @@ async def _stop_answers_pipelined():
     server = make_sharded_server()
     await server.start()
     # The first write is delayed: the connection is busy with it when the
-    # GET pipelined behind it arrives and when stop() begins.
+    # GET arrives and when stop() begins.
     delay_writes(server, 1, 0.3)
     reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-    writer.write(protocol.encode_put(make_key(1), b"first")
-                 + protocol.encode_get(make_key(1)))
+    writer.write(protocol.encode_put(make_key(1), b"first"))
+    await writer.drain()
+    while server_view(server.metrics.snapshot())["delayed_writes"] != 1:
+        await asyncio.sleep(0.005)
+    # Pipelined while the server is busy with the first request.
+    writer.write(protocol.encode_get(make_key(1)))
     await writer.drain()
     await asyncio.sleep(0.05)
     stopping = asyncio.create_task(server.stop())
@@ -466,6 +470,33 @@ def server_side_transports(port):
     return [t for t in list(loop._transports.values())
             if t is not None and not t.is_closing()
             and t.get_extra_info("sockname")[1] == port]
+
+
+def test_delayed_write_reads_a_bounded_backlog_then_answers_it():
+    asyncio.run(_read_backlog())
+
+
+async def _read_backlog():
+    """While a delayed write sleeps out its pause its connection keeps
+    reading, as a stream reader does, until about 128 KiB have queued, and
+    then pauses reading; after the pause every frame is answered in order."""
+    server = make_sharded_server(num_shards=1, config=UniKVConfig())
+    await server.start()
+    delay_writes(server, 1, 0.3)
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    frames = [protocol.encode_put(make_key(i), b"%04d" % i * 1024) for i in range(100)]
+    writer.write(b"".join(frames) + protocol.encode_get(make_key(99)))
+    await asyncio.sleep(0.1)
+    [transport] = server_side_transports(server.port)
+    assert not transport.is_reading()
+    replies = await read_replies(reader, 101)
+    assert [protocol.decode_response(r)[0] for r in replies] == [Status.OK] * 101
+    assert protocol.decode_value_body(protocol.decode_response(replies[100])[1]) \
+        == b"0099" * 1024
+    assert server_view(server.metrics.snapshot())["delayed_writes"] == 1
+    writer.close()
+    await writer.wait_closed()
+    await server.stop()
 
 
 def test_unread_replies_stay_bounded_then_all_arrive_in_order():
