@@ -188,19 +188,34 @@ def summarize(pairs: list[tuple[dict, dict]], bounds: dict[str, float]) -> int:
     return len(bad)
 
 
+def relative_spread(values: list[float]) -> float:
+    """The interquartile spread of ``values`` relative to their median."""
+    q1, median, q3 = quartiles(values)
+    return (q3 - q1) / median
+
+
 def print_normalised(pairs: list[tuple[dict, dict]], name: str) -> None:
     """``name``'s medians with each run scaled by the host speed its
     calibration read: ``value * reference / calibration_us``, where the
-    reference is the median calibration of all the runs."""
-    reference = statistics.median(row["calibration_us"] for pair in pairs for row in pair)
+    reference is the median calibration of all the runs.  When the
+    calibrations spread wider than the parent's raw values, the scaling
+    adds more noise than it removes, and the line says it is unresolved."""
+    calibrations = [row["calibration_us"] for pair in pairs for row in pair]
+    reference = statistics.median(calibrations)
     scaled = [tuple(row[name] * reference / row["calibration_us"] for row in pair)
               for pair in pairs]
     parent = statistics.median(pair[0] for pair in scaled)
     change = statistics.median(pair[1] for pair in scaled)
     wins = sum(change_value < parent_value for parent_value, change_value in scaled)
-    print(f"  normalised by the calibration loop ({reference:.0f} us): parent median "
-          f"{parent:.4f}, change median {change:.4f} ({change / parent - 1.0:+.1%}), "
+    calibration_spread = relative_spread(calibrations)
+    raw_spread = relative_spread([pair[0][name] for pair in pairs])
+    print(f"  normalised by the calibration loop ({reference:.0f} us, interquartile "
+          f"spread {calibration_spread:.1%}): parent median {parent:.4f}, change median "
+          f"{change:.4f} ({change / parent - 1.0:+.1%}), "
           f"change lower in {wins} of {len(pairs)} pairs")
+    if calibration_spread > raw_spread:
+        print(f"  normalised line unresolved: the calibration spreads wider than the "
+              f"parent's raw values ({calibration_spread:.1%} vs {raw_spread:.1%})")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -159,9 +159,38 @@ def test_rows_carry_the_calibration_and_cpu_usage_is_printed_normalised(
     out = capsys.readouterr().out
     cpu_section = out[out.index("server_cpu_us_per_op\n"):out.index("\nmodelled_us_per_op\n")]
     assert "change median +50.0% of the parent's" in cpu_section
-    # reference calibration 150 us: parent 60 * 1.5 = 90, change 90 * 0.75
-    assert ("normalised by the calibration loop (150 us): parent median 90.0000, "
-            "change median 67.5000 (-25.0%), change lower in 3 of 3 pairs") in cpu_section
+    # reference calibration 150 us: parent 60 * 1.5 = 90, change 90 * 0.75;
+    # calibrations 100, 100, 100, 200, 200, 200 spread 100 us around 150.
+    assert ("normalised by the calibration loop (150 us, interquartile spread 66.7%): "
+            "parent median 90.0000, change median 67.5000 (-25.0%), "
+            "change lower in 3 of 3 pairs") in cpu_section
+    # The parent's raw values do not spread at all, so the scaling is noise.
+    assert ("normalised line unresolved: the calibration spreads wider than the "
+            "parent's raw values (66.7% vs 0.0%)") in cpu_section
+
+
+def test_normalised_line_is_resolved_when_the_calibration_is_steadier(
+        perf_pairs, monkeypatch, tmp_path, capsys):
+    """A steady calibration beside a spread raw metric leaves the
+    normalised line unmarked."""
+    stub_runs(perf_pairs, monkeypatch,
+              {"parent": (8.0, True, 0), "change": (8.0, True, 0)})
+    cpu = iter([60.0, 50.0, 50.0, 80.0, 70.0, 55.0])  # parent 60, 80, 70
+    stubbed_run = perf_pairs.run_once
+
+    def run_once(tree, workload, seed, seconds):
+        result = stubbed_run(tree, workload, seed, seconds)
+        result["metrics"]["server_cpu_us_per_op"]["value"] = next(cpu)
+        return result
+
+    calibration = iter([100.0, 101.0, 99.0, 100.0, 100.0, 102.0])
+    monkeypatch.setattr(perf_pairs, "calibrate", lambda: next(calibration))
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    code, __ = run_main(perf_pairs, tmp_path)
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "normalised by the calibration loop (100 us, interquartile spread" in out
+    assert "unresolved" not in out
 
 
 def test_calibration_times_the_loop_and_keeps_the_affinity():
