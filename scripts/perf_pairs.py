@@ -20,10 +20,13 @@ end the script prints, per end-to-end metric, each side's median and
 quartiles, the change's median relative to the parent's next to the
 metric's regression ``bound`` from ``BENCHMARK.json``, the number of
 pairs in which the change was lower, and the verdict of the rule a claimed
-gain must pass: the change lower in at least 9 of 10 pairs, and its median
-lower than the parent's by more than the parent's interquartile spread.
-Beside the raw server CPU medians it prints them normalised by the
-calibration loop.  It exits 1 if any run was not ``correct`` or had failed operations.
+gain must pass: at least ten pairs, the change lower in at least 9 of 10,
+and its median lower than the parent's by more than the parent's
+interquartile spread.  Beside the raw server CPU medians it prints them
+normalised by the calibration loop, with the calibration's own spread; the
+normalised line is marked unresolved when the calibration spreads wider
+than the parent's raw values.  It exits 1 if any run was not ``correct``
+or had failed operations.
 """
 
 from __future__ import annotations
@@ -176,7 +179,8 @@ def summarize(pairs: list[tuple[dict, dict]], bounds: dict[str, float]) -> int:
         wins = sum(change[name] < parent[name] for parent, change in pairs)
         print(f"  change lower in {wins} of {len(pairs)} pairs")
         gain = medians["parent"] - medians["change"]
-        met = wins >= 0.9 * len(pairs) and gain > spreads["parent"]
+        met = (len(pairs) >= 10 and wins >= 0.9 * len(pairs)
+               and gain > spreads["parent"])
         print(f"  claim rule {'met' if met else 'not met'}: lower in {wins}/{len(pairs)} "
               f"(needs 9/10), median gain {gain:.4f} vs the parent's "
               f"interquartile spread {spreads['parent']:.4f}")

@@ -131,6 +131,17 @@ def test_the_claim_rule_needs_nine_of_ten_wins_and_a_gain_beyond_the_spread(
     assert out.count("claim rule met") == verdict.startswith("claim rule met")
 
 
+def test_the_claim_rule_needs_ten_pairs(perf_pairs, monkeypatch, tmp_path, capsys):
+    """Three pairs, each far lower on the change, do not meet the rule."""
+    stub_runs(perf_pairs, monkeypatch,
+              {"parent": (10.0, True, 0), "change": (5.0, True, 0)})
+    code, __ = run_main(perf_pairs, tmp_path, pairs=3)
+    assert code == 0
+    out = capsys.readouterr().out
+    modelled = out[out.index("\nmodelled_us_per_op\n"):out.index("\nsetup_s\n")]
+    assert "claim rule not met: lower in 3/3 (needs 9/10)" in modelled
+
+
 def test_rows_carry_the_calibration_and_cpu_usage_is_printed_normalised(
         perf_pairs, monkeypatch, tmp_path, capsys):
     """The change's runs meet a host half as fast: raw server CPU per op
