@@ -8,7 +8,6 @@ block cache, the metrics registry, and the crash-injection hook.
 from __future__ import annotations
 
 from repro.engine.block_cache import BlockCache
-from repro.engine.errors import CorruptionError
 from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta
 from repro.engine.table_cache import TableCache
 from repro.engine.vlog import VLogReader
@@ -109,33 +108,24 @@ class StoreContext:
         """
         return self._tables.get(name, open_pattern="seq" if streaming else "rand")
 
-    def load_tables(self, tables: list[TableMeta], log_number: int | None = None) -> None:
+    def load_tables(self, tables: list[TableMeta]) -> None:
         """Make the tables the running job just wrote resident, before the
         job's manifest commit (LevelDB's verify-on-build).
 
         The metadata reads ride the job's sequential write (``seq``), and
         each open checks the table's metadata CRC, so a table that reads
-        back damaged fails its job instead of being committed: the job's
-        ``tables`` and its new value log are deleted (see
-        :meth:`discard_outputs`) and the :class:`CorruptionError` propagates.
+        back damaged fails its job with a :class:`CorruptionError` instead
+        of being committed.
         """
-        try:
-            for meta in tables:
-                self._tables.get(meta.name, open_pattern="seq")
-        except CorruptionError:
-            self.discard_outputs([meta.name for meta in tables], log_number)
-            raise
+        for meta in tables:
+            self._tables.get(meta.name, open_pattern="seq")
 
-    def discard_outputs(self, table_names: list[str], log_number: int | None) -> None:
-        """Delete the tables and new value log of a job that fails before
-        its manifest commit.  No manifest record names them, so otherwise
-        they would stay on disk until the next reopen's orphan sweep."""
-        for name in table_names:
-            self.drop_table(name)
-        if log_number is not None:
-            name = self.log_name(log_number)
-            if self.disk.exists(name):
-                self.disk.delete(name)
+    def sweep_orphans(self, live: set[str]) -> None:
+        """Delete every table, value log, index checkpoint and WAL not in
+        ``live``: the files of jobs that never committed."""
+        for name in self.disk.list():
+            if name.startswith(("sst-", "vlog-", "ckpt-", "wal-")) and name not in live:
+                self.drop_table(name)
 
     def log_reader(self, log_number: int) -> VLogReader:
         reader = self._log_readers.get(log_number)

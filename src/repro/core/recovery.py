@@ -6,8 +6,10 @@ Recovery replays three sources, exactly the paper's scheme:
    index checkpoints are reconstructed by replaying the metadata log.  Any
    data file on disk that the replayed state does not reference is an
    orphan from an uncommitted operation (a crash between data write and
-   commit) and is deleted — the old state those operations were replacing
-   is still fully intact, which is what makes every merge/GC/split redoable.
+   commit) and is deleted by :meth:`StoreContext.sweep_orphans`, the sweep
+   a job that fails on damaged input runs too — the old state those
+   operations were replacing is still fully intact, which is what makes
+   every merge/GC/split redoable.
 2. **Hash-index checkpoints** — each partition's index is loaded from its
    latest checkpoint when that checkpoint still matches the current table
    set, and the tables flushed since are re-read to fill in the gap; if the
@@ -97,7 +99,7 @@ def recover_store(store, disk: SimulatedDisk) -> None:
             state.live_value_bytes = record["live_value_bytes"]
             see_tables(added)
         elif rtype == "split":
-            old = parts.pop(record["old_partition"])
+            del parts[record["old_partition"]]
             for info in record["parts"]:
                 new = _PartitionState(bytes.fromhex(info["lower"]))
                 new.sorted = [meta_from_json(m) for m in info["tables"]]
@@ -113,7 +115,6 @@ def recover_store(store, disk: SimulatedDisk) -> None:
             # The old partition's WAL is retired: its memtable entries were
             # folded into the split output tables.
             wal_names.pop(record["old_partition"], None)
-            del old
         elif rtype == "checkpoint":
             checkpoints[record["partition"]] = (record["file"], record["covered"])
             max_ckpt = max(max_ckpt, int(record["file"].rsplit("-", 1)[1]))
@@ -126,20 +127,7 @@ def recover_store(store, disk: SimulatedDisk) -> None:
     # unreachable, since replay stops at the tear.
     manifest.repair()
 
-    # -- orphan cleanup: delete uncommitted data files -----------------------------
-    referenced: set[str] = {manifest.name}
-    for state in parts.values():
-        referenced.update(m.name for m in state.unsorted.values())
-        referenced.update(m.name for m in state.sorted)
-        referenced.update(StoreContext.log_name(n) for n in state.logs)
-    referenced.update(file for file, __ in checkpoints.values())
-    referenced.update(name for pid, name in wal_names.items() if pid in parts)
-    for prefix in ("sst-", "vlog-", "ckpt-", "wal-"):
-        for name in disk.list(prefix):
-            if name not in referenced:
-                disk.delete(name)
-
-    # -- rebuild runtime objects ------------------------------------------------------
+    # -- rebuild runtime objects (no I/O) -------------------------------------------
     ctx = StoreContext(disk, store.config, manifest)
     ctx.next_table = max_table + 1
     ctx.next_log = max_log + 1
@@ -154,16 +142,19 @@ def recover_store(store, disk: SimulatedDisk) -> None:
         partition.sorted.live_value_bytes = state.live_value_bytes
         for log_number in state.logs:
             partition.add_log(log_number)
-        _rebuild_hash_index(ctx, partition, checkpoints.get(pid))
         partitions.append(partition)
     store.partitions = partitions
     store._rebuild_boundaries()
-    store._checkpoints = {
-        pid: ckpt for pid, ckpt in checkpoints.items()
-        if any(p.id == pid for p in partitions)
-    }
+    store._checkpoints = checkpoints
     store._next_ckpt = max_ckpt + 1
     store._next_wal = max_wal + 1
+
+    # -- orphan cleanup, before anything creates a file --------------------------------
+    ctx.sweep_orphans(store._live_files() | set(wal_names.values()))
+
+    # -- hash indexes ---------------------------------------------------------------------
+    for partition in partitions:
+        _rebuild_hash_index(ctx, partition, checkpoints.get(partition.id))
 
     # -- per-partition WAL replay ---------------------------------------------------------
     for partition in partitions:

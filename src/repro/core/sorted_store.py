@@ -209,7 +209,7 @@ def write_run(ctx: StoreContext, partition_id: int, records: Iterable[Record],
 
     tables = write_tables(separated(), lambda: ctx.new_table(tag),
                           ctx.config.sstable_size)
-    ctx.load_tables(tables, None if writer is None else writer.log_number)
+    ctx.load_tables(tables)
     if writer is None:
         return tables, None, carried_bytes
     # Every record of the new log is live.

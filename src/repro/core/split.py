@@ -19,7 +19,6 @@ One manifest record commits the whole transition atomically.
 
 from __future__ import annotations
 
-from repro.engine.errors import CorruptionError
 from repro.engine.iterators import merge_sorted
 from repro.core.context import StoreContext
 from repro.core.manifest import meta_to_json
@@ -54,30 +53,23 @@ def split_partition(ctx: StoreContext, partition: Partition) -> list[Partition] 
     shared_logs = sorted(partition.log_numbers)
     new_parts: list[Partition] = []
     committed: list[dict] = []
-    try:
-        for lower, part_records in halves:
-            new_id = ctx.alloc_partition_id()
-            part = Partition(ctx, new_id, lower)
-            # Eager split of the UnsortedStore's inline values into a fresh
-            # log; lazy split of the old pointers, whose values stay put.
-            tables, log_number, live_value_bytes = write_run(
-                ctx, new_id, part_records, "split")
-            part.sorted.replace_tables(tables)
-            part.sorted.live_value_bytes = live_value_bytes
-            new_parts.append(part)
-            committed.append({
-                "id": new_id,
-                "lower": lower.hex(),
-                "tables": [meta_to_json(m) for m in tables],
-                "new_log": log_number,
-                "live_value_bytes": live_value_bytes,
-            })
-    except CorruptionError:
-        # write_run already discarded the half that read back damaged; the
-        # halves written before it are this job's files too.
-        for part, info in zip(new_parts, committed):
-            ctx.discard_outputs([m.name for m in part.sorted.tables], info["new_log"])
-        raise
+    for lower, part_records in halves:
+        new_id = ctx.alloc_partition_id()
+        part = Partition(ctx, new_id, lower)
+        # Eager split of the UnsortedStore's inline values into a fresh
+        # log; lazy split of the old pointers, whose values stay put.
+        tables, log_number, live_value_bytes = write_run(
+            ctx, new_id, part_records, "split")
+        part.sorted.replace_tables(tables)
+        part.sorted.live_value_bytes = live_value_bytes
+        new_parts.append(part)
+        committed.append({
+            "id": new_id,
+            "lower": lower.hex(),
+            "tables": [meta_to_json(m) for m in tables],
+            "new_log": log_number,
+            "live_value_bytes": live_value_bytes,
+        })
 
     ctx.crash_point("split:before_commit")
     ctx.manifest.append({

@@ -31,6 +31,7 @@ from bisect import bisect_right
 from itertools import islice
 from typing import Iterator
 
+from repro.engine.errors import CorruptionError
 from repro.engine.iterators import merge_sorted
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE, KIND_VPTR
 from repro.engine.memtable import MemTable
@@ -43,7 +44,7 @@ from repro.core.manifest import Manifest, meta_to_json
 from repro.core.merge import merge_partition
 from repro.core.partition import Partition
 from repro.core.split import split_partition
-from repro.env.storage import SimulatedDisk
+from repro.env.storage import ReadFault, SimulatedDisk
 from repro.lsm.base import KVStore
 from repro.obs import core_view
 from repro.runtime.scheduler import Job
@@ -229,7 +230,8 @@ class UniKV(KVStore):
         """Flush every partition's memtable and run triggered maintenance."""
         for partition in list(self.partitions):
             if partition in self.partitions:  # may have been split away
-                self._submit_flush(partition, lambda p=partition: bool(p.mem))
+                self._submit("flush", lambda p=partition: bool(p.mem),
+                             lambda p=partition: self._flush_partition(p))
         self._maybe_split()
 
     def close(self) -> None:
@@ -282,16 +284,12 @@ class UniKV(KVStore):
     # -- write path ---------------------------------------------------------------------
 
     def _maybe_flush(self, partition: Partition) -> None:
-        job = self._submit_flush(
-            partition,
-            lambda: partition.mem.approximate_size >= self.config.memtable_size)
+        job = self._submit(
+            "flush",
+            lambda: partition.mem.approximate_size >= self.config.memtable_size,
+            lambda: self._flush_partition(partition))
         if job.ran:
             self._maybe_split()
-
-    def _submit_flush(self, partition: Partition, trigger) -> Job:
-        return self.ctx.scheduler.submit(Job(
-            kind="flush", trigger=trigger,
-            fn=lambda: self._flush_partition(partition)))
 
     def _flush_partition(self, partition: Partition) -> None:
         """Flush one partition's memtable into its UnsortedStore."""
@@ -337,22 +335,36 @@ class UniKV(KVStore):
 
     # -- maintenance -----------------------------------------------------------------------
 
+    def _submit(self, kind: str, trigger, fn) -> Job:
+        """Run one maintenance job.  A job that fails on damaged input
+        leaves files no commit names: recovery's orphan sweep deletes them
+        before the error propagates.  A crash is left to recovery."""
+        try:
+            return self.ctx.scheduler.submit(Job(kind=kind, trigger=trigger, fn=fn))
+        except (CorruptionError, ReadFault):
+            self.ctx.sweep_orphans(self._live_files())
+            raise
+
+    def _live_files(self) -> set[str]:
+        """Every file the committed state names: the manifest, the index
+        checkpoints, and each partition's tables, value logs and WAL."""
+        live = {self.ctx.manifest.name, *(f for f, __ in self._checkpoints.values())}
+        for partition in self.partitions:
+            live.update(meta.name for meta in partition.unsorted.tables.values())
+            live.update(meta.name for meta in partition.sorted.tables)
+            live.update(map(self.ctx.log_name, partition.log_numbers))
+            if partition.wal is not None:  # None while recovery runs
+                live.add(partition.wal.name)
+        return live
+
     def _run_partition_maintenance(self, partition: Partition) -> None:
-        scheduler = self.ctx.scheduler
-        merge_job = scheduler.submit(Job(
-            kind="merge",
-            trigger=partition.needs_merge,
-            fn=lambda: merge_partition(self.ctx, partition)))
-        if merge_job.ran:
-            scheduler.submit(Job(
-                kind="gc",
-                trigger=partition.needs_gc,
-                fn=lambda: run_gc(self.ctx, partition)))
+        if self._submit("merge", partition.needs_merge,
+                        lambda: merge_partition(self.ctx, partition)).ran:
+            self._submit("gc", partition.needs_gc,
+                         lambda: run_gc(self.ctx, partition))
         else:
-            scheduler.submit(Job(
-                kind="scan_merge",
-                trigger=partition.unsorted.needs_scan_merge,
-                fn=lambda: self._scan_merge(partition)))
+            self._submit("scan_merge", partition.unsorted.needs_scan_merge,
+                         lambda: self._scan_merge(partition))
 
     def _scan_merge(self, partition: Partition) -> None:
         """Size-based merge of the UnsortedStore into one sorted table."""
@@ -376,10 +388,8 @@ class UniKV(KVStore):
         while changed:
             changed = False
             for pi, partition in enumerate(self.partitions):
-                job = self.ctx.scheduler.submit(Job(
-                    kind="split",
-                    trigger=partition.needs_split,
-                    fn=lambda p=partition: split_partition(self.ctx, p)))
+                job = self._submit("split", partition.needs_split,
+                                   lambda p=partition: split_partition(self.ctx, p))
                 if not job.ran or job.result is None:
                     continue
                 parts = job.result

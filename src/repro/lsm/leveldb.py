@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.engine.errors import CorruptionError
 from repro.engine.iterators import merge_sorted
 from repro.engine.sstable import TableMeta, write_tables
 from repro.engine.wal import recover_wal
-from repro.env.storage import SimulatedDisk
+from repro.env.storage import ReadFault, SimulatedDisk
 from repro.core.manifest import Manifest, meta_from_json, meta_to_json
 from repro.lsm.base import LSMConfig, LSMStore, Record
 from repro.lsm.version import LevelState
@@ -82,16 +83,22 @@ class LevelDBStore(LSMStore):
     def _maybe_compact(self) -> None:
         while True:
             if len(self._state.levels[0]) >= self.config.l0_compaction_trigger:
-                self.scheduler.submit(Job(
-                    kind="compaction",
-                    fn=self._compact_l0))
+                self._compact(self._compact_l0)
                 continue
             level = self._pick_overfull_level()
             if level is None:
                 return
-            self.scheduler.submit(Job(
-                kind="compaction",
-                fn=lambda lvl=level: self._compact_level(lvl)))
+            self._compact(lambda lvl=level: self._compact_level(lvl))
+
+    def _compact(self, fn) -> None:
+        """Run one compaction job.  One that fails on damaged input leaves
+        tables no commit names: recovery's sweep deletes them before the
+        error propagates (LevelDB's ``DeleteObsoleteFiles``)."""
+        try:
+            self.scheduler.submit(Job(kind="compaction", fn=fn))
+        except (CorruptionError, ReadFault):
+            self._delete_unreferenced(None if self._wal is None else self._wal.name)
+            raise
 
     def _pick_overfull_level(self) -> int | None:
         for level in range(1, self._state.max_levels - 1):
@@ -120,8 +127,9 @@ class LevelDBStore(LSMStore):
         next_inputs = self._state.overlapping(level + 1, picked.smallest, picked.largest)
         sources: list[Iterator[Record]] = [
             self._compaction_reader(picked.name).entries(tag="compaction")]
-        self._state.compact_cursor[level] = picked.largest
         self._run_compaction(level, [picked], next_inputs, sources)
+        # Only a committed compaction moves the round-robin pick on.
+        self._state.compact_cursor[level] = picked.largest
 
     def _run_compaction(self, level: int, inputs: list[TableMeta],
                         next_inputs: list[TableMeta],
@@ -184,14 +192,7 @@ class LevelDBStore(LSMStore):
             self._state.add_l0(meta)  # add_l0 prepends: ends newest-first
         for level, meta in deeper.values():
             self._state.add(level, meta)
-        referenced = {m.name for m in self._state.all_files()}
-        referenced.add(self._manifest.name)
-        if wal_name is not None:
-            referenced.add(wal_name)
-        for name in self._disk.list(self._prefix):
-            if name not in referenced and name.startswith(
-                    (f"{self._prefix}sst-", f"{self._prefix}wal-")):
-                self._disk.delete(name)
+        self._delete_unreferenced(wal_name)
         numbers = [int(m.name.rsplit("-", 1)[1]) for m in self._state.all_files()]
         self._next_file = max(numbers, default=-1) + 1
         if (self.config.wal_enabled and wal_name is not None
@@ -203,6 +204,15 @@ class LevelDBStore(LSMStore):
                 self._mem._insert(key, kind, value)
         else:
             self._start_wal()
+
+    def _delete_unreferenced(self, wal_name: str | None) -> None:
+        """Delete every table and WAL of this store that neither the level
+        state nor ``wal_name`` (the live WAL) names."""
+        live = {wal_name, *(m.name for m in self._state.all_files())}
+        for name in self._disk.list(self._prefix):
+            if name not in live and name.startswith(
+                    (f"{self._prefix}sst-", f"{self._prefix}wal-")):
+                self._drop_file(name)
 
     # -- read helpers ------------------------------------------------------------------
 
