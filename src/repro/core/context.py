@@ -2,10 +2,13 @@
 
 Holds the pieces every component needs — disk, config, manifest, file-number
 allocators, the shared-value-log reference registry (for lazy split), the
-block cache, the metrics registry, and the crash-injection hook.
+block cache, the metrics registry, the crash-injection hook, and the
+store's applier, through which every job commits.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.engine.block_cache import BlockCache
 from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta
@@ -22,10 +25,14 @@ class StoreContext:
     """Per-store shared services and allocators."""
 
     def __init__(self, disk: SimulatedDisk, config: UniKVConfig,
-                 manifest: Manifest) -> None:
+                 manifest: Manifest, apply: Callable[[dict], object] | None = None,
+                 ) -> None:
         self.disk = disk
         self.config = config
         self.manifest = manifest
+        #: the store's applier (:meth:`UniKV.apply`): turns a committed
+        #: manifest record into in-memory state
+        self.apply = apply
         #: every count the store keeps (repro.obs); never performs I/O
         self.metrics = MetricsRegistry()
         #: ``unikv_op_seconds`` by op, and a GET's by the path that answered
@@ -66,6 +73,15 @@ class StoreContext:
         """Invoke the crash hook, if any (tests raise CrashPoint here)."""
         if self.crash_hook is not None:
             self.crash_hook(point)
+
+    def commit(self, record: dict, after: str | None = None):
+        """Append ``record`` to the manifest (the job's commit point), fire
+        the ``after`` crash point, and apply the record; returns what the
+        applier returns."""
+        self.manifest.append(record)
+        if after is not None:
+            self.crash_point(after)
+        return self.apply(record)
 
     # -- file naming / allocation ---------------------------------------------------------
 

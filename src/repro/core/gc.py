@@ -8,7 +8,9 @@ Follows the paper's four-step redo protocol:
 2. read the valid values and write them back to a newly created log file;
 3. write new pointers (with their keys) into fresh SortedStore SSTables;
 4. commit — one manifest record acts as the ``GC_done`` mark, after which
-   the old tables are deleted and the old logs' references dropped.
+   the store's applier (:meth:`~repro.core.store.UniKV.apply`, which
+   recovery's replay runs too) deletes the old tables and drops the old
+   logs' references.
 
 A crash before step 4 leaves the old state fully intact (the new files are
 orphans removed at recovery); a crash after step 4 is already durable.
@@ -50,25 +52,14 @@ def run_gc(ctx: StoreContext, partition: Partition) -> None:
 
     ctx.crash_point("gc:before_commit")
 
-    # Step 4: the GC_done commit.
-    old_tables = [m.name for m in partition.sorted.tables]
-    released = sorted(partition.log_numbers)
-    ctx.manifest.append({
+    # Step 4: the GC_done commit; the applier swaps the tables in, moves
+    # the log references and deletes the old tables.
+    ctx.commit({
         "type": "gc",
         "partition": partition.id,
-        "removed_tables": old_tables,
+        "removed_tables": [m.name for m in partition.sorted.tables],
         "added_tables": [meta_to_json(m) for m in new_tables],
         "new_log": new_log,
-        "released_logs": released,
+        "released_logs": sorted(partition.log_numbers),
         "live_value_bytes": live_value_bytes,
-    })
-    ctx.crash_point("gc:after_commit")
-
-    partition.sorted.replace_tables(new_tables)
-    partition.sorted.live_value_bytes = live_value_bytes
-    for log_number in released:
-        partition.release_log(log_number)
-    if new_log is not None:
-        partition.add_log(new_log)
-    for name in old_tables:
-        ctx.drop_table(name)
+    }, after="gc:after_commit")

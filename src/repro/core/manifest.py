@@ -28,6 +28,11 @@ from repro.env.storage import SimulatedDisk
 MANIFEST_NAME = "MANIFEST"
 
 
+def file_number(name: str) -> int:
+    """The number a table, log, checkpoint or WAL name ends in."""
+    return int(name.rsplit("-", 1)[1])
+
+
 def meta_to_json(meta: TableMeta) -> dict:
     return {
         "name": meta.name,

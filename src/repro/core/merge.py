@@ -13,7 +13,11 @@ merge-sorted with the existing SortedStore run:
 
 Superseded pointers leave dead bytes behind in the old logs; GC reclaims
 them (see :mod:`repro.core.gc`).  The merge commits atomically via one
-manifest record after all data files are durable.
+manifest record after all data files are durable; the store's applier
+(:meth:`~repro.core.store.UniKV.apply`, which recovery's replay runs too)
+then installs the new run, moves the log references, deletes the replaced
+tables and drops the partition's index checkpoint, which covered tables
+the merge removed.  Only emptying the hash index stays here.
 """
 
 from __future__ import annotations
@@ -45,30 +49,16 @@ def merge_partition(ctx: StoreContext, partition: Partition) -> None:
 
     ctx.crash_point("merge:after_data")
 
-    old_unsorted = [m.name for m in partition.unsorted.tables.values()]
-    old_sorted = [m.name for m in partition.sorted.tables]
     # Under full re-separation every old log is dead for this partition.
     released_logs = sorted(partition.log_numbers) if not partial else []
-    ctx.manifest.append({
+    ctx.commit({
         "type": "merge",
         "partition": partition.id,
-        "removed_unsorted": old_unsorted,
-        "removed_sorted": old_sorted,
+        "removed_unsorted": [m.name for m in partition.unsorted.tables.values()],
+        "removed_sorted": [m.name for m in partition.sorted.tables],
         "added_tables": [meta_to_json(m) for m in new_tables],
         "new_log": log_number,
         "released_logs": released_logs,
         "live_value_bytes": live_value_bytes,
-    })
-    ctx.crash_point("merge:after_commit")
-
-    # Apply in memory and reclaim the replaced files.
-    partition.unsorted.drain()
-    partition.sorted.replace_tables(new_tables)
-    partition.sorted.live_value_bytes = live_value_bytes
-    if log_number is not None:
-        partition.add_log(log_number)
-    for log in released_logs:
-        if log != log_number:
-            partition.release_log(log)
-    for name in old_unsorted + old_sorted:
-        ctx.drop_table(name)
+    }, after="merge:after_commit")
+    partition.unsorted.index.clear()

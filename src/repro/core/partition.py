@@ -72,10 +72,6 @@ class Partition:
         self.log_numbers.discard(log_number)
         self._ctx.drop_log_ref(log_number, self.id)
 
-    def release_all_logs(self) -> None:
-        for log_number in list(self.log_numbers):
-            self.release_log(log_number)
-
     # -- sizing / triggers ---------------------------------------------------------------
 
     def referenced_log_bytes(self) -> int:

@@ -14,7 +14,12 @@ partition locked:
    shared) log files, and each partition's next GC migrates its live values
    out and releases the shared logs.
 
-One manifest record commits the whole transition atomically.
+One manifest record commits the whole transition atomically.  This module
+only allocates the new partition ids and writes their runs; the store's
+applier (:meth:`~repro.core.store.UniKV.apply`, which recovery's replay
+runs too) builds the new partitions, moves the log references, deletes the
+old partition's tables and checkpoint and replaces it in the store's
+partition list.
 """
 
 from __future__ import annotations
@@ -30,7 +35,9 @@ def split_partition(ctx: StoreContext, partition: Partition) -> list[Partition] 
     """Split ``partition`` at its median key; returns [P1, P2] or None.
 
     Returns None when the partition holds fewer than two distinct keys
-    (nothing to split).
+    (nothing to split).  The new partitions are built by the store's
+    applier from the committed record, which also puts them in the store's
+    partition list.
     """
     ctx.crash_point("split:start")
 
@@ -50,20 +57,14 @@ def split_partition(ctx: StoreContext, partition: Partition) -> list[Partition] 
         (boundary, [r for r in records if r[0] >= boundary]),
     )
 
-    shared_logs = sorted(partition.log_numbers)
-    new_parts: list[Partition] = []
-    committed: list[dict] = []
+    parts: list[dict] = []
     for lower, part_records in halves:
         new_id = ctx.alloc_partition_id()
-        part = Partition(ctx, new_id, lower)
         # Eager split of the UnsortedStore's inline values into a fresh
         # log; lazy split of the old pointers, whose values stay put.
         tables, log_number, live_value_bytes = write_run(
             ctx, new_id, part_records, "split")
-        part.sorted.replace_tables(tables)
-        part.sorted.live_value_bytes = live_value_bytes
-        new_parts.append(part)
-        committed.append({
+        parts.append({
             "id": new_id,
             "lower": lower.hex(),
             "tables": [meta_to_json(m) for m in tables],
@@ -72,23 +73,9 @@ def split_partition(ctx: StoreContext, partition: Partition) -> list[Partition] 
         })
 
     ctx.crash_point("split:before_commit")
-    ctx.manifest.append({
+    return ctx.commit({
         "type": "split",
         "old_partition": partition.id,
-        "shared_logs": shared_logs,
-        "parts": committed,
-    })
-    ctx.crash_point("split:after_commit")
-
-    # Apply: transfer log references, reclaim the old partition's tables.
-    for part, info in zip(new_parts, committed):
-        if info["new_log"] is not None:
-            part.add_log(info["new_log"])
-        for log_number in shared_logs:
-            part.add_log(log_number)
-    old_tables = ([m.name for m in partition.unsorted.tables.values()]
-                  + [m.name for m in partition.sorted.tables])
-    partition.release_all_logs()
-    for name in old_tables:
-        ctx.drop_table(name)
-    return new_parts
+        "shared_logs": sorted(partition.log_numbers),
+        "parts": parts,
+    }, after="split:after_commit")

@@ -23,6 +23,11 @@ Reopening over an existing :class:`~repro.env.SimulatedDisk` recovers the
 store from its manifest, WAL and hash-index checkpoints::
 
     db2 = UniKV(disk=db.disk, config=db.config)
+
+Every metadata change is one manifest record, and :meth:`UniKV.apply` is
+the one place a record becomes in-memory state: a job commits through it
+(:meth:`~repro.core.context.StoreContext.commit`) and recovery replays
+every record through it.
 """
 
 from __future__ import annotations
@@ -35,14 +40,16 @@ from repro.engine.errors import CorruptionError
 from repro.engine.iterators import merge_sorted
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE, KIND_VPTR
 from repro.engine.memtable import MemTable
+from repro.engine.sstable import TableMeta
 from repro.engine.vlog import fetch_values
 from repro.engine.wal import WalWriter
 from repro.core.config import UniKVConfig
 from repro.core.context import StoreContext
 from repro.core.gc import run_gc
-from repro.core.manifest import Manifest, meta_to_json
+from repro.core.manifest import Manifest, file_number, meta_from_json, meta_to_json
 from repro.core.merge import merge_partition
 from repro.core.partition import Partition
+from repro.core.recovery import recover_store
 from repro.core.split import split_partition
 from repro.env.storage import ReadFault, SimulatedDisk
 from repro.lsm.base import KVStore
@@ -70,20 +77,19 @@ class UniKV(KVStore):
         self.config = config if config is not None else UniKVConfig()
         self.config.validate()
         disk = disk if disk is not None else SimulatedDisk()
-        if disk.exists("MANIFEST"):
-            from repro.core.recovery import recover_store
-            recover_store(self, disk)
-            return
-        self.ctx = StoreContext(disk, self.config, Manifest(disk))
-        first = Partition(self.ctx, self.ctx.alloc_partition_id(), b"")
-        self.partitions: list[Partition] = [first]
-        self._rebuild_boundaries()
-        self.ctx.manifest.append({"type": "init", "partition": first.id, "lower": ""})
-        self._next_wal = 0
-        self._next_ckpt = 0
-        self._rotate_wal(first)
+        recovering = disk.exists("MANIFEST")
+        self.ctx = StoreContext(disk, self.config, Manifest(disk), apply=self.apply)
+        self.partitions: list[Partition] = []
         #: per-partition current index checkpoint: pid -> (file, covered ids)
         self._checkpoints: dict[int, tuple[str, list[int]]] = {}
+        self._next_wal = 0
+        self._next_ckpt = 0
+        if recovering:
+            recover_store(self)
+            return
+        self.ctx.commit({"type": "init", "partition": self.ctx.alloc_partition_id(),
+                         "lower": ""})
+        self._rotate_wal(self.partitions[0])
 
     # -- public API -------------------------------------------------------------------
 
@@ -297,7 +303,7 @@ class UniKV(KVStore):
             return
         self.ctx.crash_point("flush:start")
         builder = self.ctx.new_table("flush")
-        table_id = int(builder.name.rsplit("-", 1)[1])
+        table_id = file_number(builder.name)
         add, keys = builder.add, []
         add_key = keys.append
         for key, kind, value in partition.mem.entries():
@@ -306,13 +312,14 @@ class UniKV(KVStore):
         meta = builder.finish()
         self.ctx.load_tables([meta])
         self.ctx.crash_point("flush:before_commit")
-        self.ctx.manifest.append({
+        self.ctx.commit({
             "type": "flush",
             "partition": partition.id,
             "table_id": table_id,
             "meta": meta_to_json(meta),
         })
-        partition.unsorted.add_flushed_table(table_id, meta, keys)
+        partition.unsorted.index_table(table_id, keys)
+        partition.unsorted.flushes_since_checkpoint += 1
         partition.mem = MemTable(seed=self.config.seed)
         self._rotate_wal(partition)
         self._maybe_checkpoint_index(partition)
@@ -369,39 +376,34 @@ class UniKV(KVStore):
     def _scan_merge(self, partition: Partition) -> None:
         """Size-based merge of the UnsortedStore into one sorted table."""
         self.ctx.crash_point("scan_merge:start")
-        old_names, meta, keys = partition.unsorted.scan_merge(self.ctx.next_table)
-        table_id = int(meta.name.rsplit("-", 1)[1])
+        meta, keys = partition.unsorted.scan_merge()
+        table_id = file_number(meta.name)
         self.ctx.crash_point("scan_merge:before_commit")
-        self.ctx.manifest.append({
+        self.ctx.commit({
             "type": "scan_merge",
             "partition": partition.id,
-            "removed": old_names,
+            "removed": [m.name for m in partition.unsorted.tables.values()],
             "table_id": table_id,
             "meta": meta_to_json(meta),
         })
-        partition.unsorted.apply_scan_merge(old_names, table_id, meta, keys)
-        # The index was rebuilt: any older checkpoint no longer applies.
-        self._drop_checkpoint(partition.id)
+        partition.unsorted.index.clear()
+        partition.unsorted.index_table(table_id, keys)
 
     def _maybe_split(self) -> None:
         changed = True
         while changed:
             changed = False
-            for pi, partition in enumerate(self.partitions):
+            for partition in self.partitions:
                 job = self._submit("split", partition.needs_split,
                                    lambda p=partition: split_partition(self.ctx, p))
                 if not job.ran or job.result is None:
                     continue
-                parts = job.result
-                self.partitions[pi:pi + 1] = parts
-                self._rebuild_boundaries()
-                self._drop_checkpoint(partition.id)
                 # Retire the old partition's WAL (its memtable was folded
                 # into the split output) and start fresh WALs for the halves.
                 partition.wal.close()
                 if self.ctx.disk.exists(partition.wal.name):
                     self.ctx.disk.delete(partition.wal.name)
-                for part in parts:
+                for part in job.result:
                     self._rotate_wal(part)
                 changed = True
                 break
@@ -422,16 +424,13 @@ class UniKV(KVStore):
         writer = self.ctx.disk.create(name)
         writer.append(partition.unsorted.index.encode(), tag="checkpoint")
         writer.close()
-        covered = sorted(partition.unsorted.tables)
         self.ctx.crash_point("checkpoint:before_commit")
-        self.ctx.manifest.append({
+        self.ctx.commit({
             "type": "checkpoint",
             "partition": partition.id,
             "file": name,
-            "covered": covered,
+            "covered": sorted(partition.unsorted.tables),
         })
-        self._drop_checkpoint(partition.id)
-        self._checkpoints[partition.id] = (name, covered)
         partition.unsorted.flushes_since_checkpoint = 0
         self.ctx.metrics.counter("index_checkpoints_total").inc()
 
@@ -439,6 +438,103 @@ class UniKV(KVStore):
         prior = self._checkpoints.pop(partition_id, None)
         if prior is not None and self.ctx.disk.exists(prior[0]):
             self.ctx.disk.delete(prior[0])
+
+    # -- the applier ------------------------------------------------------------------------
+
+    def apply(self, record: dict) -> list[Partition] | None:
+        """Turn one committed manifest record into in-memory state.
+
+        A job calls this right after appending its record
+        (:meth:`StoreContext.commit`), and recovery runs every replayed
+        record through it, so a commit and its replay cannot disagree.
+        It installs the record's tables and deletes the ones they replace,
+        adds and releases value-log references, replaces a split
+        partition, and sets or drops index checkpoints (deleting the file
+        a checkpoint replaces); the allocators move past every number the
+        record names.  What only a live job can do, indexing the keys it
+        wrote, stays in the job.  Returns a split's new partitions.
+        """
+        rtype = record["type"]
+        if rtype == "init":
+            self.partitions.append(self._new_partition(record["partition"], record["lower"]))
+            self._rebuild_boundaries()
+            return None
+        if rtype == "split":
+            return self._apply_split(record)
+        if rtype == "checkpoint":
+            self._drop_checkpoint(record["partition"])
+            self._checkpoints[record["partition"]] = (record["file"], record["covered"])
+            self._next_ckpt = max(self._next_ckpt, file_number(record["file"]) + 1)
+            return None
+        partition = self._partition_by_id(record["partition"])
+        unsorted, sorted_store = partition.unsorted, partition.sorted
+        if rtype == "flush":
+            unsorted.tables[record["table_id"]] = self._metas([record["meta"]])[0]
+            return None
+        if rtype == "scan_merge":
+            replaced = list(unsorted.tables.values())
+            unsorted.tables = {record["table_id"]: self._metas([record["meta"]])[0]}
+        else:  # merge, gc
+            replaced = list(sorted_store.tables)
+            if rtype == "merge":
+                replaced.extend(unsorted.tables.values())
+                unsorted.tables = {}
+            sorted_store.replace_tables(self._metas(record["added_tables"]))
+            sorted_store.live_value_bytes = record["live_value_bytes"]
+            self._add_log(partition, record["new_log"])
+            for log_number in record.get("released_logs", ()):
+                partition.release_log(log_number)
+        for meta in replaced:
+            self.ctx.drop_table(meta.name)
+        if rtype != "gc":
+            # The hash index no longer holds the removed tables, so any
+            # older checkpoint of it no longer applies.
+            self._drop_checkpoint(partition.id)
+        return None
+
+    def _apply_split(self, record: dict) -> list[Partition]:
+        old = self._partition_by_id(record["old_partition"])
+        parts = []
+        for info in record["parts"]:
+            part = self._new_partition(info["id"], info["lower"])
+            part.sorted.replace_tables(self._metas(info["tables"]))
+            part.sorted.live_value_bytes = info["live_value_bytes"]
+            self._add_log(part, info["new_log"])
+            for log_number in record["shared_logs"]:
+                part.add_log(log_number)
+            parts.append(part)
+        for log_number in list(old.log_numbers):
+            old.release_log(log_number)
+        for meta in [*old.unsorted.tables.values(), *old.sorted.tables]:
+            self.ctx.drop_table(meta.name)
+        self._drop_checkpoint(old.id)
+        at = self.partitions.index(old)
+        self.partitions[at:at + 1] = parts
+        self._rebuild_boundaries()
+        return parts
+
+    def _partition_by_id(self, partition_id: int) -> Partition:
+        for partition in self.partitions:
+            if partition.id == partition_id:
+                return partition
+        raise CorruptionError(f"manifest record names unknown partition {partition_id}")
+
+    def _new_partition(self, partition_id: int, lower_hex: str) -> Partition:
+        ctx = self.ctx
+        ctx.next_partition = max(ctx.next_partition, partition_id + 1)
+        return Partition(ctx, partition_id, bytes.fromhex(lower_hex))
+
+    def _metas(self, objs: list[dict]) -> list[TableMeta]:
+        metas = [meta_from_json(obj) for obj in objs]
+        ctx = self.ctx
+        for meta in metas:
+            ctx.next_table = max(ctx.next_table, file_number(meta.name) + 1)
+        return metas
+
+    def _add_log(self, partition: Partition, log_number: int | None) -> None:
+        if log_number is not None:
+            partition.add_log(log_number)
+            self.ctx.next_log = max(self.ctx.next_log, log_number + 1)
 
     # -- scans ----------------------------------------------------------------------------
 

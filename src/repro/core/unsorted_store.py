@@ -36,14 +36,12 @@ class UnsortedStore:
 
     # -- writes -----------------------------------------------------------------
 
-    def add_flushed_table(self, table_id: int, meta: TableMeta,
-                          keys: list[bytes]) -> None:
-        """Register a freshly flushed table and index its keys."""
-        self.tables[table_id] = meta
+    def index_table(self, table_id: int, keys: list[bytes]) -> None:
+        """Point the hash index at ``table_id`` for each of ``keys``, the
+        keys of a table a flush or scan-merge just committed."""
         insert = self.index.insert
         for key in keys:
             insert(key, table_id)
-        self.flushes_since_checkpoint += 1
 
     # -- reads -------------------------------------------------------------------
 
@@ -87,13 +85,12 @@ class UnsortedStore:
         limit = self._ctx.config.scan_merge_limit
         return limit > 0 and len(self.tables) >= limit
 
-    def scan_merge(self, next_table_id: int) -> tuple[list[str], TableMeta, list[bytes]]:
+    def scan_merge(self) -> tuple[TableMeta, list[bytes]]:
         """Merge every table into one globally sorted table.
 
-        Returns (old table names, new meta, keys of the merged table); the
-        caller commits the swap to the manifest and then calls
-        :meth:`apply_scan_merge`.  Tombstones are preserved — they still
-        shadow SortedStore data.
+        Returns the new table's meta and its keys; the caller commits the
+        swap to the manifest and re-indexes the keys.  Tombstones are
+        preserved — they still shadow SortedStore data.
         """
         from repro.engine.iterators import merge_sorted
 
@@ -105,28 +102,7 @@ class UnsortedStore:
             add_key(key)
         meta = builder.finish()
         self._ctx.load_tables([meta])
-        old_names = [m.name for m in self.tables.values()]
-        return old_names, meta, keys
-
-    def apply_scan_merge(self, old_names: list[str], table_id: int,
-                         meta: TableMeta, keys: list[bytes]) -> None:
-        """Install the merged table and rebuild the hash index over it."""
-        self.tables = {table_id: meta}
-        self.index.clear()
-        insert = self.index.insert
-        for key in keys:
-            insert(key, table_id)
-        for name in old_names:
-            self._ctx.drop_table(name)
-
-    # -- merge into SortedStore ---------------------------------------------------------
-
-    def drain(self) -> list[str]:
-        """Forget all tables + index entries; returns the stale file names."""
-        old = [m.name for m in self.tables.values()]
-        self.tables.clear()
-        self.index.clear()
-        return old
+        return meta, keys
 
     # -- introspection --------------------------------------------------------------------
 
