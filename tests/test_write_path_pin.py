@@ -110,7 +110,7 @@ EXPECTED: dict = {
                 ("write", "seq", "split"): (554, 232399),
                 ("write", "seq", "wal"): (278, 812086),
             },
-            "files": "ecb60f0031977daa0ecf027a3a30e955482c907795e4819ad8e9cce802b20826",
+            "files": "44cfcc17f42e902d2a2525a7f880d5a5f9e7d0b84d3e83d42710d211f12b0359",
         },
         {
             "core": {
@@ -140,7 +140,7 @@ EXPECTED: dict = {
                 ("write", "seq", "split"): (408, 210459),
                 ("write", "seq", "wal"): (278, 802798),
             },
-            "files": "7bc87b1b5911a60c4732ad8ed88b0881fd858f261d2b03b44445485644c7544d",
+            "files": "829da4bdd7bf56457b933548e20d4a1bf4ef8ad20dac35c286a67cb8fb6fc94b",
         },
         {
             "core": {
@@ -170,7 +170,7 @@ EXPECTED: dict = {
                 ("write", "seq", "split"): (406, 209050),
                 ("write", "seq", "wal"): (281, 811852),
             },
-            "files": "a69efab3f5c62b4fd90646ff0a84092a947c62b08867522ce42b68037a62bd06",
+            "files": "d968f8a5e85e73451dc3cbe649baa5bf922fc442d2201c3f1df40e31c8149ae3",
         },
         {
             "core": {
@@ -200,7 +200,7 @@ EXPECTED: dict = {
                 ("write", "seq", "split"): (548, 232598),
                 ("write", "seq", "wal"): (279, 822672),
             },
-            "files": "ce675ee854e9e66ffc5ea3963126e616c9913a004c72e8887faf8931d8b25e6f",
+            "files": "23905390b4199e5b0cfb45f3e841c3ac2739d8ad06f6bbfd74fd82ddbe8f34b0",
         },
     ],
 }
