@@ -314,3 +314,26 @@ def test_manifest_repair_truncates_torn_tail():
     final = Manifest(disk, create=False)
     assert len(list(final.replay())) == 3
     assert final.repair() is False  # nothing left to cut
+
+
+def test_a_manifest_that_names_no_partition_is_refused_untouched():
+    """A damaged first record makes replay yield nothing; recovery must
+    refuse the store before it repairs the manifest or sweeps files,
+    which would delete every table, log, checkpoint and WAL."""
+    from repro.engine.errors import CorruptionError
+    from tests.conftest import disk_digest
+
+    db = UniKV(config=tiny_unikv_config())
+    for i in range(50):
+        db.put(f"key-{i:05d}".encode(), b"v" * 20)
+    clone = db.disk.clone()
+    buf = bytearray(clone.read_full("MANIFEST", tag="test"))
+    buf[10] ^= 1
+    clone.create("MANIFEST").append(bytes(buf), tag="test")
+    files = clone.list()
+    assert any(name.startswith("sst-") for name in files)
+    before = disk_digest(clone)
+    with pytest.raises(CorruptionError, match="names no partition"):
+        UniKV(disk=clone, config=db.config)
+    assert clone.list() == files
+    assert disk_digest(clone) == before
