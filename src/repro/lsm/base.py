@@ -8,14 +8,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.engine.block_cache import BlockCache
-from repro.engine.errors import InvalidArgument
+from repro.engine.errors import CorruptionError, InvalidArgument
 from repro.engine.iterators import merge_sorted
 from repro.engine.keys import KIND_TOMBSTONE, KIND_VALUE
 from repro.engine.memtable import MemTable
 from repro.engine.sstable import SSTableBuilder, SSTableReader, TableMeta
 from repro.engine.table_cache import TableCache
 from repro.engine.wal import WalWriter
-from repro.env.storage import SimulatedDisk
+from repro.env.storage import ReadFault, SimulatedDisk
 from repro.runtime.scheduler import Job, MaintenanceScheduler
 
 _KB = 1024
@@ -147,14 +147,16 @@ class LSMStore(KVStore):
     Writes go to the WAL and the memtable; a full memtable is flushed to
     one table, and reads merge the memtable with the tables.  A subclass
     decides only where tables live and how they are compacted, through
-    four hooks:
+    five hooks:
 
     * :meth:`_install_flushed` places a freshly flushed table;
+    * :meth:`_live_tables` lists every table the store's structure names;
     * :meth:`_tables_for_key` yields the tables a point lookup probes,
       newest first;
     * :meth:`_table_sources` returns the sorted table iterators a scan
       merges, newest first;
-    * :meth:`_maybe_compact` submits the compactions a flush triggers.
+    * :meth:`_maybe_compact` submits the compactions a flush triggers,
+      each through :meth:`_compact`.
 
     :meth:`_log_wal` is told each new WAL's name (the LevelDB family logs
     it in its manifest; engines without recovery ignore it).
@@ -186,6 +188,10 @@ class LSMStore(KVStore):
     @abc.abstractmethod
     def _install_flushed(self, meta: TableMeta) -> None:
         """Place the table a memtable flush just wrote."""
+
+    @abc.abstractmethod
+    def _live_tables(self) -> list[TableMeta]:
+        """Every table the store's structure names."""
 
     @abc.abstractmethod
     def _tables_for_key(self, key: bytes) -> Iterator[TableMeta]:
@@ -315,6 +321,28 @@ class LSMStore(KVStore):
             block_size=self.config.block_size,
             bloom_bits_per_key=self.config.bloom_bits_per_key,
         )
+
+    # -- compaction jobs ------------------------------------------------------------------
+
+    def _compact(self, fn, trigger=None) -> None:
+        """Run one compaction job.  One that fails on damaged input leaves
+        tables no live structure names: the sweep recovery runs deletes
+        them before the error propagates (LevelDB's
+        ``DeleteObsoleteFiles``)."""
+        try:
+            self.scheduler.submit(Job(kind="compaction", trigger=trigger, fn=fn))
+        except (CorruptionError, ReadFault):
+            self._delete_unreferenced(None if self._wal is None else self._wal.name)
+            raise
+
+    def _delete_unreferenced(self, wal_name: str | None) -> None:
+        """Delete every table and WAL of this store that neither
+        :meth:`_live_tables` nor ``wal_name`` (the live WAL) names."""
+        live = {wal_name, *(m.name for m in self._live_tables())}
+        for name in self._disk.list(self._prefix):
+            if name not in live and name.startswith(
+                    (f"{self._prefix}sst-", f"{self._prefix}wal-")):
+                self._drop_file(name)
 
     # -- table helpers --------------------------------------------------------------------
 

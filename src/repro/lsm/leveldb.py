@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.engine.errors import CorruptionError
 from repro.engine.iterators import merge_sorted
 from repro.engine.sstable import TableMeta, write_tables
 from repro.engine.wal import recover_wal
-from repro.env.storage import ReadFault, SimulatedDisk
-from repro.core.manifest import Manifest, meta_from_json, meta_to_json
+from repro.env.storage import SimulatedDisk
+from repro.core.manifest import Manifest, file_number, meta_from_json, meta_to_json
 from repro.lsm.base import LSMConfig, LSMStore, Record
 from repro.lsm.version import LevelState
-from repro.runtime.scheduler import Job
 
 
 class LevelDBStore(LSMStore):
@@ -56,8 +54,10 @@ class LevelDBStore(LSMStore):
         self._manifest.append({"type": "wal", "name": name})
 
     def _install_flushed(self, meta: TableMeta) -> None:
-        self._manifest.append({"type": "flush", "meta": meta_to_json(meta)})
-        self._state.add_l0(meta)
+        self._commit({"type": "flush", "meta": meta_to_json(meta)})
+
+    def _live_tables(self) -> list[TableMeta]:
+        return self._state.all_files()
 
     def _tables_for_key(self, key: bytes) -> Iterator[TableMeta]:
         for level in range(self._state.max_levels):
@@ -89,16 +89,6 @@ class LevelDBStore(LSMStore):
             if level is None:
                 return
             self._compact(lambda lvl=level: self._compact_level(lvl))
-
-    def _compact(self, fn) -> None:
-        """Run one compaction job.  One that fails on damaged input leaves
-        tables no commit names: recovery's sweep deletes them before the
-        error propagates (LevelDB's ``DeleteObsoleteFiles``)."""
-        try:
-            self.scheduler.submit(Job(kind="compaction", fn=fn))
-        except (CorruptionError, ReadFault):
-            self._delete_unreferenced(None if self._wal is None else self._wal.name)
-            raise
 
     def _pick_overfull_level(self) -> int | None:
         for level in range(1, self._state.max_levels - 1):
@@ -145,74 +135,64 @@ class LevelDBStore(LSMStore):
                                lambda: self._new_builder(tag="compaction"),
                                self.config.sstable_size)
 
-        self._manifest.append({
+        self._commit({
             "type": "compaction",
             "level": level,
             "removed_upper": [f.name for f in inputs],
             "removed_lower": [f.name for f in next_inputs],
             "added": [meta_to_json(m) for m in outputs],
         })
-        self._state.remove(level, {f.name for f in inputs})
-        self._state.remove(target, {f.name for f in next_inputs})
-        for meta in outputs:
-            self._state.add(target, meta)
-        for stale in inputs + next_inputs:
-            self._drop_file(stale.name)
 
-    # -- recovery ----------------------------------------------------------------------
+    # -- commit and recovery -----------------------------------------------------------
+
+    def _commit(self, record: dict) -> None:
+        """Append ``record`` to the manifest (the commit point) and apply it."""
+        self._manifest.append(record)
+        self._apply(record)
+
+    def _apply(self, record: dict) -> None:
+        """Turn one committed flush or compaction record into level state,
+        deleting the tables a compaction replaced.  A flush or compaction
+        runs its record through here after its commit, and recovery runs
+        every replayed record through it."""
+        if record["type"] == "flush":
+            self._state.add_l0(meta_from_json(record["meta"]))  # newest first
+            return
+        level = record["level"]
+        self._state.remove(level, set(record["removed_upper"]))
+        self._state.remove(level + 1, set(record["removed_lower"]))
+        for obj in record["added"]:
+            self._state.add(level + 1, meta_from_json(obj))
+        for name in record["removed_upper"] + record["removed_lower"]:
+            if self._disk.exists(name):
+                self._drop_file(name)
 
     def _recover(self) -> None:
-        """Rebuild the level state from the manifest, cut its torn tail,
-        clean orphans, replay the WAL (re-logging a torn one).  Flushed L0
-        tables re-enter level 0 in flush order (newest first); compaction
-        records replace file sets transactionally, so a crash between data
-        write and commit only leaves orphans."""
-        l0: list[TableMeta] = []   # oldest first while replaying
-        deeper: dict[str, tuple[int, TableMeta]] = {}  # name -> (level, meta)
+        """Rebuild the level state by applying every manifest record, cut
+        the manifest's torn tail, clean orphans, replay the WAL (re-logging
+        a torn one).  Compaction records replace file sets transactionally,
+        so a crash between data write and commit only leaves orphans."""
         wal_name: str | None = None
         for record in self._manifest.replay():
-            rtype = record["type"]
-            if rtype == "flush":
-                l0.append(meta_from_json(record["meta"]))
-            elif rtype == "compaction":
-                removed = set(record["removed_upper"]) | set(record["removed_lower"])
-                l0 = [m for m in l0 if m.name not in removed]
-                for name in removed:
-                    deeper.pop(name, None)
-                target = record["level"] + 1
-                for m in record["added"]:
-                    meta = meta_from_json(m)
-                    deeper[meta.name] = (target, meta)
-            elif rtype == "wal":
+            if record["type"] == "wal":
                 wal_name = record["name"]
+            else:
+                self._apply(record)
         # Cut a torn tail before anything appends: records after the tear
         # would be unreachable on the next replay.
         self._manifest.repair()
-        for meta in l0:
-            self._state.add_l0(meta)  # add_l0 prepends: ends newest-first
-        for level, meta in deeper.values():
-            self._state.add(level, meta)
         self._delete_unreferenced(wal_name)
-        numbers = [int(m.name.rsplit("-", 1)[1]) for m in self._state.all_files()]
+        numbers = [file_number(m.name) for m in self._state.all_files()]
         self._next_file = max(numbers, default=-1) + 1
         if (self.config.wal_enabled and wal_name is not None
                 and self._disk.exists(wal_name)):
-            self._next_wal = int(wal_name.rsplit("-", 1)[1]) + 1
+            self._next_wal = file_number(wal_name) + 1
             records, self._wal = recover_wal(
                 self._disk, wal_name, self._new_wal, self._log_wal)
             for key, kind, value in records:
                 self._mem._insert(key, kind, value)
         else:
             self._start_wal()
-
-    def _delete_unreferenced(self, wal_name: str | None) -> None:
-        """Delete every table and WAL of this store that neither the level
-        state nor ``wal_name`` (the live WAL) names."""
-        live = {wal_name, *(m.name for m in self._state.all_files())}
-        for name in self._disk.list(self._prefix):
-            if name not in live and name.startswith(
-                    (f"{self._prefix}sst-", f"{self._prefix}wal-")):
-                self._drop_file(name)
 
     # -- read helpers ------------------------------------------------------------------
 

@@ -22,7 +22,6 @@ from repro.engine.iterators import merge_sorted
 from repro.engine.sstable import SSTableBuilder, TableMeta, write_tables
 from repro.env.storage import SimulatedDisk
 from repro.lsm.base import LSMConfig, LSMStore, Record, refuse_reopen
-from repro.runtime.scheduler import Job
 
 
 class _Guard:
@@ -66,6 +65,10 @@ class PebblesDBStore(LSMStore):
     def _install_flushed(self, meta: TableMeta) -> None:
         self._l0.insert(0, meta)
 
+    def _live_tables(self) -> list[TableMeta]:
+        return [*self._l0, *(meta for guards in self._levels
+                             for guard in guards for meta in guard.files)]
+
     def _tables_for_key(self, key: bytes) -> Iterator[TableMeta]:
         for meta in self._l0:
             if meta.smallest <= key <= meta.largest:
@@ -83,10 +86,8 @@ class PebblesDBStore(LSMStore):
         return sources
 
     def _maybe_compact(self) -> None:
-        self.scheduler.submit(Job(
-            kind="compaction",
-            trigger=lambda: len(self._l0) >= self.config.l0_compaction_trigger,
-            fn=self._compact_l0))
+        self._compact(self._compact_l0,
+                      trigger=lambda: len(self._l0) >= self.config.l0_compaction_trigger)
 
     # -- compaction -------------------------------------------------------------------
 
@@ -144,16 +145,21 @@ class PebblesDBStore(LSMStore):
             self._drop_file(f.name)
 
     def _append_fragments(self, target_level: int, records: Iterator[Record]) -> None:
-        """Cut a merged record stream at guard boundaries of ``target_level``."""
+        """Cut a merged record stream at guard boundaries of ``target_level``.
+
+        The fragments enter their guards only once the stream has ended, so
+        a stream that fails on damaged input leaves the guards as they were.
+        """
         guards = self._levels[target_level]
         boundaries = [g.key for g in guards[1:]]
         builder: SSTableBuilder | None = None
         guard_of_builder = 0
+        fragments: list[tuple[_Guard, TableMeta]] = []
 
         def finish() -> None:
             nonlocal builder
             if builder is not None and builder.num_entries:
-                guards[guard_of_builder].files.insert(0, builder.finish())
+                fragments.append((guards[guard_of_builder], builder.finish()))
             builder = None
 
         # One fragment file per guard (cut at guard boundaries only): this is
@@ -169,15 +175,15 @@ class PebblesDBStore(LSMStore):
                 guard_of_builder = gi
             builder.add(key, kind, value)
         finish()
+        for guard, meta in fragments:
+            guard.files.insert(0, meta)
 
     def _cascade_overflows(self, level_index: int) -> None:
         for li in range(level_index, len(self._levels)):
             for guard in list(self._levels[li]):
-                self.scheduler.submit(Job(
-                    kind="compaction",
-                    trigger=lambda g=guard:
-                        len(g.files) > self.max_files_per_guard,
-                    fn=lambda lvl=li, g=guard: self._compact_guard(lvl, g)))
+                self._compact(lambda lvl=li, g=guard: self._compact_guard(lvl, g),
+                              trigger=lambda g=guard:
+                                  len(g.files) > self.max_files_per_guard)
 
     def _empty_below(self, level_index: int) -> bool:
         """True when nothing lives beneath ``level_index``'s target level."""

@@ -1,7 +1,9 @@
 """A maintenance job that fails before its commit leaves no file behind.
 
 Every UniKV merge, GC, split and scan-merge, and every LevelDB compaction,
-ends with one manifest commit; a file no commit names is an orphan.  When
+ends with one manifest commit; a file no commit names is an orphan.  A
+PebblesDB compaction has no manifest: its outputs enter the guards only
+once it has written them all, and a table no guard names is an orphan.  When
 a job fails on damaged input (a data block that reads back flipped, or a
 read that errors), the files it already wrote are deleted before the error
 reaches the caller, so the disk holds exactly what the store's committed
@@ -16,7 +18,7 @@ import repro.core.store as store_module
 from repro.core.store import UniKV
 from repro.engine.errors import CorruptionError
 from repro.env.storage import ReadFault
-from repro.lsm import LevelDBStore, LSMConfig
+from repro.lsm import LevelDBStore, LSMConfig, PebblesDBStore
 from tests.conftest import tiny_unikv_config
 
 FAULT_MODES = ("flip", "error")
@@ -192,3 +194,45 @@ def test_a_failed_compaction_does_not_advance_the_round_robin_pick(monkeypatch):
     put_until_failure(db, {}, faulted)
     level, picked = faulted[0]
     assert db._state.pick_compaction_file(level) == picked
+
+
+# -- PebblesDB -------------------------------------------------------------------
+
+def pebbles_guards(db: PebblesDBStore) -> list:
+    return [[(guard.key, [meta.name for meta in guard.files]) for guard in guards]
+            for guards in db._levels]
+
+
+def test_a_failed_pebblesdb_compaction_leaves_its_guards_and_no_file(monkeypatch):
+    """Damage one L0 input once level 1 has three guards: the L0
+    compaction fails after it has finished some fragments and while it is
+    writing another."""
+    db = PebblesDBStore(config=small_lsm_config())
+    real = PebblesDBStore._compact_l0
+    faulted, guards_before = [], []
+
+    def compact_l0(self):
+        if not faulted and len(self._levels[0]) >= 3:
+            for meta in self._l0:
+                reader = self._compaction_reader(meta.name)
+                if reader.num_blocks >= 2:
+                    fault_last_block(self._disk, reader, "flip")
+                    faulted.append(meta.name)
+                    guards_before.append(pebbles_guards(self))
+                    break
+        return real(self)
+
+    monkeypatch.setattr(PebblesDBStore, "_compact_l0", compact_l0)
+    model: dict[bytes, bytes] = {}
+    done = put_until_failure(db, model, faulted)
+    assert pebbles_guards(db) == guards_before[0]
+    named = {meta.name for meta in db._l0}
+    named.update(name for guards in pebbles_guards(db)
+                 for __, names in guards for name in names)
+    assert set(db.disk.list("sst-")) == named
+
+    db.disk.clear_read_faults()
+    for i in range(done, done + 1500):
+        put(db, model, i)
+    assert_reads_back(db, model)
+    assert db.scan(b"", len(model) + 1) == sorted(model.items())
