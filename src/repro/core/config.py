@@ -67,7 +67,8 @@ class UniKVConfig:
     # -- maintenance scheduler (repro.runtime) --------------------------------------------
     #: background lanes for maintenance device time (flush/merge/GC/
     #: scan-merge/split); 0 = synchronous foreground maintenance (the
-    #: paper-calibrated default, bit-identical to the pre-scheduler code)
+    #: default the experiments are tuned to, bit-identical to the
+    #: pre-scheduler code)
     background_threads: int = 0
     #: in-flight background jobs at which foreground writes slow down
     slowdown_trigger: int = 4

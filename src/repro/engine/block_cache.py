@@ -62,9 +62,5 @@ class BlockCache:
             __, size = self._entries.pop(key)
             self._used -= size
 
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
     def __len__(self) -> int:
         return len(self._entries)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.engine.errors import CorruptionError
 from repro.engine.iterators import merge_sorted
 from repro.engine.sstable import TableMeta, write_tables
 from repro.engine.wal import recover_wal
@@ -178,6 +179,10 @@ class LevelDBStore(LSMStore):
                 wal_name = record["name"]
             else:
                 self._apply(record)
+        if self._manifest.valid_end == 0 and self._disk.size(self._manifest.name):
+            # A damaged first record: repairing the manifest and sweeping
+            # would delete every table and the WAL.
+            raise CorruptionError(f"{self._manifest.name} holds no intact record")
         # Cut a torn tail before anything appends: records after the tear
         # would be unreachable on the next replay.
         self._manifest.repair()
@@ -218,6 +223,3 @@ class LevelDBStore(LSMStore):
             accesses = sum(self.table_access_counts.get(f.name, 0) for f in files)
             out.append((level, len(files), accesses))
         return out
-
-    def total_table_bytes(self) -> int:
-        return self._state.total_bytes()

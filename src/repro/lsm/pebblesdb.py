@@ -220,9 +220,6 @@ class PebblesDBStore(LSMStore):
 
     # -- introspection ------------------------------------------------------------------
 
-    def guard_counts(self) -> list[int]:
-        return [len(guards) for guards in self._levels]
-
     def level_file_counts(self) -> list[int]:
         counts = [len(self._l0)]
         counts.extend(sum(len(g.files) for g in guards) for guards in self._levels)

@@ -31,7 +31,7 @@ class RocksDBStore(LevelDBStore):
     #: (multi-threaded compaction overlaps device time only partially — a
     #: load saturates sequential bandwidth regardless of thread count).
     #: With background_threads >= 1 the maintenance scheduler models the
-    #: overlap explicitly and this calibrated divisor is not applied.
+    #: overlap explicitly and this fitted divisor is not applied.
     compaction_parallelism = 2.0
 
     def __init__(self, disk: SimulatedDisk | None = None,

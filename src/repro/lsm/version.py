@@ -93,9 +93,3 @@ class LevelState:
 
     def all_files(self) -> list[TableMeta]:
         return [f for files in self.levels for f in files]
-
-    def total_bytes(self) -> int:
-        return sum(f.file_size for f in self.all_files())
-
-    def num_files(self) -> int:
-        return sum(len(files) for files in self.levels)

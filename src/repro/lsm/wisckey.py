@@ -61,7 +61,6 @@ class WiscKeyStore(KVStore):
         self._next_log = 0
         self._head: VLogWriter | None = None
         self._readers: dict[int, VLogReader] = {}
-        self.gc_relocated_values = 0
         self._roll_head()
 
     # -- public API ------------------------------------------------------------
@@ -159,7 +158,6 @@ class WiscKeyStore(KVStore):
             if log_number != tail or ptr_offset != offset:
                 continue  # superseded by a newer write
             self._index.put(key, self._head.append(key, value))
-            self.gc_relocated_values += 1
             if self._head.size() >= self.config.vlog_segment_size:
                 self._roll_head()
         self._readers.pop(tail, None)

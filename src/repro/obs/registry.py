@@ -66,9 +66,6 @@ class Gauge:
     def inc(self, n=1) -> None:
         self.value += n
 
-    def dec(self, n=1) -> None:
-        self.value -= n
-
 
 class HistogramFamily(dict):
     """One histogram per value of one label: ``family[value]``.
@@ -160,11 +157,6 @@ class MetricsRegistry:
                 for (name, labels), hist in sorted(self._histograms.items())
             ],
         }
-
-    def to_prometheus(self,
-                      quantiles: tuple[float, ...] = DEFAULT_QUANTILES) -> str:
-        """Prometheus text exposition of the current state."""
-        return snapshot_to_prometheus(self.snapshot(quantiles))
 
 
 # -- snapshot algebra -------------------------------------------------------------------

@@ -101,10 +101,6 @@ class MaintenanceScheduler:
     # -- mode ---------------------------------------------------------------------
 
     @property
-    def synchronous(self) -> bool:
-        return self.background_threads <= 0
-
-    @property
     def overlapped(self) -> bool:
         return self.background_threads > 0
 

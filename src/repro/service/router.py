@@ -29,19 +29,16 @@ class ShardPressure:
     """Snapshot of one shard's maintenance backpressure.
 
     ``queue_depth`` is the *instantaneous* in-flight background job count;
-    ``stall_events``/``stall_seconds`` are the count and sum of the
-    scheduler's cumulative ``write_stall_seconds`` histogram — the
-    durable record that slowdown/stop backpressure fired.  Admission
-    control diffs the cumulative counters between probes (on the virtual
-    clock, depth>0 windows can be shorter than one request gap, but every
-    stall is counted).
+    ``stall_events`` is the count of the scheduler's cumulative
+    ``write_stall_seconds`` histogram — the durable record that
+    slowdown/stop backpressure fired.  Admission control diffs the
+    cumulative count between probes (on the virtual clock, depth>0 windows
+    can be shorter than one request gap, but every stall is counted).
     """
 
     shard: int
     queue_depth: int
-    backlog_seconds: float
     stall_events: int
-    stall_seconds: float
     slowdown_trigger: int
     stop_trigger: int
 
@@ -199,9 +196,7 @@ class ShardRouter:
         return ShardPressure(
             shard=shard_index,
             queue_depth=scheduler.queue_depth(),
-            backlog_seconds=scheduler.backlog_seconds(),
             stall_events=scheduler.stalls.count,
-            stall_seconds=scheduler.stalls.sum,
             slowdown_trigger=scheduler.slowdown_trigger,
             stop_trigger=scheduler.stop_trigger,
         )

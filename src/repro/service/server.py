@@ -50,7 +50,7 @@ from repro.core.config import UniKVConfig
 from repro.obs import server_view
 from repro.obs.render import render_periodic_dump
 from repro.service.handler import Delayed, RequestHandler, Session
-from repro.service.protocol import MAX_FRAME_BYTES, FrameDecoder, FrameTooLarge
+from repro.service.protocol import FrameDecoder, FrameTooLarge
 from repro.service.router import ShardRouter
 
 #: bytes a connection reads while answering stalls before it pauses
@@ -59,21 +59,14 @@ READ_BACKLOG_BYTES = 2 * 64 * 1024
 
 
 class KVServer(RequestHandler):
-    """Pipelined TCP front end for a sharded UniKV deployment."""
+    """Pipelined TCP front end for a sharded UniKV deployment.  Keyword
+    options other than ``close_router_on_stop`` are
+    :class:`RequestHandler`'s."""
 
     def __init__(self, router: ShardRouter, host: str = "127.0.0.1",
-                 port: int = 0, *,
-                 max_frame_bytes: int = MAX_FRAME_BYTES,
-                 admission: str = "delay",
-                 slowdown_delay_s: float = 0.0005,
-                 max_delay_s: float = 0.02,
-                 max_consecutive_sheds: int = 2,
-                 max_scan_items: int = 10_000,
-                 close_router_on_stop: bool = True) -> None:
-        super().__init__(router, max_frame_bytes=max_frame_bytes, admission=admission,
-                         slowdown_delay_s=slowdown_delay_s, max_delay_s=max_delay_s,
-                         max_consecutive_sheds=max_consecutive_sheds,
-                         max_scan_items=max_scan_items)
+                 port: int = 0, *, close_router_on_stop: bool = True,
+                 **options) -> None:
+        super().__init__(router, **options)
         self.host = host
         self.port = port
         self.close_router_on_stop = close_router_on_stop

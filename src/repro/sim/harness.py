@@ -307,24 +307,25 @@ class SimHarness:
         self._pending_recovery = [e for e in self._pending_recovery
                                   if e[0] > now]
         for __, shard, clone in due:
-            store = UniKV(disk=clone, config=replace_config(self.store_config))
-            self.router.reattach(shard, store)
-            self.recoveries += 1
-            self.trace_event(f"t={now} recover shard{shard} "
-                             f"({store.num_partitions()} partitions)")
+            self._recover(now, shard, clone)
 
-    def _finish_recoveries(self, now: int) -> int:
+    def _finish_recoveries(self, now: int) -> None:
         """Disarm pending crashes and attach every recovered store."""
         for shard in sorted(self._armed):
             self.router.stores[shard].disk.disarm_crash()
         self._armed.clear()
         for __, shard, clone in self._pending_recovery:
-            store = UniKV(disk=clone, config=replace_config(self.store_config))
-            self.router.reattach(shard, store)
-            self.recoveries += 1
-            self.trace_event(f"t={now} recover shard{shard} (drain)")
+            self._recover(now, shard, clone, drain=True)
         self._pending_recovery = []
-        return now
+
+    def _recover(self, now: int, shard: int, clone: SimulatedDisk,
+                 drain: bool = False) -> None:
+        """Reopen ``shard`` from its crash clone and attach it."""
+        store = UniKV(disk=clone, config=replace_config(self.store_config))
+        self.router.reattach(shard, store)
+        self.recoveries += 1
+        note = "drain" if drain else f"{store.num_partitions()} partitions"
+        self.trace_event(f"t={now} recover shard{shard} ({note})")
 
     # -- the run ----------------------------------------------------------------------
 
@@ -342,7 +343,8 @@ class SimHarness:
         self._faults = NO_FAULTS
         for __, conn in self.connections:
             conn.faults = NO_FAULTS
-        now = self._finish_recoveries(now + 1)
+        now += 1
+        self._finish_recoveries(now)
         drained_at = None
         for now in range(now, now + cfg.max_drain_ticks):
             self._poll_crashes(now)

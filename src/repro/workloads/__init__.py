@@ -18,7 +18,6 @@ from repro.workloads.mixed import (
     scan_phase,
     update_phase,
 )
-from repro.workloads.trace import dump_trace, dumps_trace, load_trace, loads_trace, trace_stats
 from repro.workloads.ycsb import YCSB_WORKLOADS, make_key, make_value, ycsb_run
 
 __all__ = [
@@ -34,9 +33,4 @@ __all__ = [
     "ycsb_run",
     "make_key",
     "make_value",
-    "dump_trace",
-    "dumps_trace",
-    "load_trace",
-    "loads_trace",
-    "trace_stats",
 ]

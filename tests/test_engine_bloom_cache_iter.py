@@ -92,12 +92,15 @@ def test_cache_evict_file():
 
 
 def test_cache_replace_same_key_updates_usage():
-    cache = BlockCache()
-    cache.put("f", 0, _block(2))
-    used_small = cache.used_bytes
-    cache.put("f", 0, _block(20))
-    assert cache.used_bytes > used_small
+    small, large = _block(2), _block(20)
+    cache = BlockCache(capacity_bytes=small.nbytes + large.nbytes)
+    cache.put("f", 0, small)
+    cache.put("f", 0, large)
     assert len(cache) == 1
+    # The replaced block's bytes were released: a second small block fits
+    # beside the large one without evicting it.
+    cache.put("g", 0, small)
+    assert cache.get("f", 0) is large and cache.get("g", 0) is small
 
 
 # -- merging iterator ---------------------------------------------------------------

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from repro.core.manifest import Manifest
-from repro.engine.errors import InvalidArgument
+from repro.engine.errors import CorruptionError, InvalidArgument
 from repro.env.storage import DiskCrashed, SimulatedDisk
 from repro.lsm import (HyperLevelDBStore, LevelDBStore, PebblesDBStore, RocksDBStore,
                        SkimpyStashStore, WiscKeyStore)
 from repro.lsm.wisckey import WiscKeyConfig
+from tests.conftest import disk_digest
 from tests.test_lsm_leveldb import small_config
 
 
@@ -121,6 +122,26 @@ def test_writes_after_a_torn_manifest_tail_survive_the_next_reopen(store_cls):
     db = store_cls(disk=disk.clone(), config=small_config())
     for key, value in acked.items():
         assert db.get(key) == value, f"lost acked {key!r}"
+
+
+def test_a_manifest_with_no_intact_record_is_refused_untouched(store_cls):
+    """A damaged first record makes replay yield nothing; recovery must
+    refuse the store before it repairs the manifest or sweeps files,
+    which would delete every table and the WAL."""
+    db = store_cls(config=small_config())
+    for i in range(500):
+        db.put(f"k{i:04d}".encode(), b"v%d" % i)
+    clone = db.disk.clone()
+    buf = bytearray(clone.read_full("LSM-MANIFEST", tag="test"))
+    buf[10] ^= 1
+    clone.create("LSM-MANIFEST").append(bytes(buf), tag="test")
+    files = clone.list()
+    assert any(name.startswith("sst-") for name in files)
+    before = disk_digest(clone)
+    with pytest.raises(CorruptionError, match="no intact record"):
+        store_cls(disk=clone, config=small_config())
+    assert clone.list() == files
+    assert disk_digest(clone) == before
 
 
 def test_orphan_tables_cleaned_on_reopen():

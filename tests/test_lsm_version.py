@@ -80,8 +80,8 @@ def test_remove_and_counters():
     state.add(1, meta("a", b"a", b"c", size=10))
     state.add(1, meta("b", b"e", b"g", size=20))
     assert state.level_bytes(1) == 30
-    assert state.num_files() == 2
-    assert state.total_bytes() == 30
+    assert len(state.all_files()) == 2
+    assert [state.level_bytes(level) for level in range(4)] == [0, 30, 0, 0]
     state.remove(1, {"a"})
     assert [f.name for f in state.levels[1]] == ["b"]
 

@@ -53,7 +53,7 @@ def test_wisckey_lsm_stores_only_pointers():
     value = b"x" * 500
     for i in range(200):
         db.put(f"k{i:04d}".encode(), value)
-    index_bytes = db._index.total_table_bytes()
+    index_bytes = db.disk.total_bytes("idx-sst-")
     vlog_bytes = db.vlog_bytes()
     assert vlog_bytes > index_bytes  # big values live in the log
 

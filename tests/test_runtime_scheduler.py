@@ -64,7 +64,7 @@ def test_job_counts_and_durations_recorded():
 
 def test_synchronous_mode_leaves_foreground_io_untouched():
     disk, scheduler = make_scheduler(background_threads=0)
-    assert scheduler.synchronous and not scheduler.overlapped
+    assert not scheduler.overlapped
     scheduler.submit(Job(kind="flush",
                          fn=lambda: write_bytes(disk, "f", 8192, "flush")))
     # Nothing is attributed to the background: the phase delta a runner
